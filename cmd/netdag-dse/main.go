@@ -25,12 +25,10 @@ import (
 func main() {
 	deadline := flag.Int64("deadline", 0, "if positive, report the minimum power meeting this latency (µs)")
 	workers := flag.Int("workers", 0, "parallel round-assignment search workers (0 = GOMAXPROCS, 1 = sequential)")
-	portfolio := flag.Bool("portfolio", false, "race the solver portfolio per placement; deterministic and exact")
 	objective := flag.String("objective", "makespan", `exploration objective: "makespan" (fig. 4 rows) or "pareto" (full energy/latency front per power setting)`)
 	csvPath := flag.String("csv", "", "also write the table as a CSV figure artifact to this path")
 	flag.Parse()
 	figures.Workers = *workers
-	figures.Portfolio = *portfolio
 
 	var tab *expt.Table
 	var points []dse.Point

@@ -51,7 +51,6 @@ func main() {
 	maxSolves := flag.Int("solves", 0, "concurrent solve budget (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "max solves queued for a worker slot before 429")
 	workers := flag.Int("workers", 0, "round-assignment search workers per solve (0 = GOMAXPROCS)")
-	portfolio := flag.Bool("portfolio", false, "race the solver portfolio per solve; deterministic and exact")
 	defDeadline := flag.Duration("deadline", 0, "default per-request solve deadline (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on per-request deadlines (0 = uncapped)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM")
@@ -59,7 +58,7 @@ func main() {
 	maxSessions := flag.Int("sessions", 8, "max live scheduler sessions")
 	sessDeadline := flag.Duration("session-deadline", 0, "per-attempt re-solve deadline inside a session (0 = library default)")
 	sessAttempts := flag.Int("session-attempts", 0, "re-solve attempts before a session degrades (0 = library default)")
-	retrySeed := flag.Int64("retry-seed", 0, "jitter seed for 429 Retry-After hints (0 = deterministic envelope)")
+	retrySeed := flag.Int64("retry-seed", 0, "jitter seed for 429 Retry-After hints and session re-solve retries (0 = deterministic envelope)")
 	journalPath := flag.String("journal", "", "persistent cache journal file (empty = in-memory cache only)")
 	peerName := flag.String("peer-name", "", "this instance's name on the cluster ring")
 	peerList := flag.String("peers", "", "cluster membership as name=baseURL,name=baseURL,... (must include -peer-name)")
@@ -96,7 +95,6 @@ func main() {
 		MaxConcurrent:    *maxSolves,
 		QueueDepth:       *queueDepth,
 		SolveWorkers:     *workers,
-		Portfolio:        *portfolio,
 		DefaultDeadline:  *defDeadline,
 		MaxDeadline:      *maxDeadline,
 		MaxBodyBytes:     *maxBody,

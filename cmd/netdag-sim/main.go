@@ -40,7 +40,6 @@ func main() {
 	period := flag.Int64("period", 0, "schedule period (µs, timed mode; 0 = makespan + 100 ms)")
 	seed := flag.Int64("seed", 1, "simulation seed (campaign master seed with -campaign)")
 	workers := flag.Int("workers", 0, "parallel workers for the schedule search and campaign (0 = GOMAXPROCS, 1 = sequential)")
-	portfolio := flag.Bool("portfolio", false, "race the solver portfolio for the schedule search; deterministic and exact")
 	deadline := flag.Duration("deadline", 0, "abort the schedule search after this wall-clock budget and simulate the best schedule found so far (0 = no limit)")
 	faultsFile := flag.String("faults", "", "JSON fault scenario (sim.Scenario); implies -timed")
 	campaignN := flag.Int("campaign", 0, "run a deterministic campaign of this many seeded replications (implies -timed)")
@@ -120,7 +119,7 @@ func main() {
 			Churn:        *churn,
 			Clocks:       clocksCfg,
 			PeriodUS:     *period,
-		}, *workers, *portfolio, *journalPath)
+		}, *workers, *journalPath)
 		return
 	}
 
@@ -132,7 +131,6 @@ func main() {
 		fatal(errors.New(`simulation executes a single schedule; re-run with -objective makespan or energy (netdag prints pareto fronts)`))
 	}
 	p.Workers = *workers
-	p.Portfolio = *portfolio
 	ctx := context.Background()
 	if *deadline > 0 {
 		var cancel context.CancelFunc
@@ -238,11 +236,8 @@ func main() {
 // fault campaigns (and, optionally, a mobility model and task churn).
 // The journal is a deterministic function of the spec, the scenario and
 // the seed — bit-identical across worker counts and repeat runs.
-func runOnline(fspec *spec.File, cfg session.LoopConfig, workers int, portfolio bool, journalPath string) {
-	s, err := session.New(context.Background(), fspec, session.Config{
-		Workers:   workers,
-		Portfolio: portfolio,
-	})
+func runOnline(fspec *spec.File, cfg session.LoopConfig, workers int, journalPath string) {
+	s, err := session.New(context.Background(), fspec, session.Config{Workers: workers})
 	if err != nil {
 		fatal(err)
 	}

@@ -49,7 +49,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the schedule as JSON instead of a timeline")
 	smtOut := flag.Bool("smt", false, "emit the SMT-LIB 2 encoding (ASAP round assignment) and exit")
 	workers := flag.Int("workers", 0, "parallel round-assignment search workers (0 = GOMAXPROCS, 1 = sequential)")
-	portfolio := flag.Bool("portfolio", false, "race the solver portfolio (exact, greedy-seeded, restart orderings) per placement; deterministic and exact")
 	deadline := flag.Duration("deadline", 0, "abort the search after this wall-clock budget and print the best schedule found so far (0 = no limit)")
 	objective := flag.String("objective", "", `solver objective: "makespan" (default), "energy" (minimal radio charge), or "pareto" (full energy/latency front); overrides the spec's objective field`)
 	flag.Parse()
@@ -72,7 +71,6 @@ func main() {
 		fatal(err)
 	}
 	p.Workers = *workers
-	p.Portfolio = *portfolio
 	if *objective != "" {
 		obj, err := core.ParseObjective(*objective)
 		if err != nil {

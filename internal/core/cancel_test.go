@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,5 +109,65 @@ func TestSolveContextDeadlineReturnsIncumbent(t *testing.T) {
 			break
 		}
 		_ = interrupted // informational: completing early is not a failure
+	}
+}
+
+// countdownCtx reports a live context for its first flipAfter Err()
+// polls and a canceled one afterwards, pinning exactly *when* during a
+// solve the expiry becomes observable.
+type countdownCtx struct {
+	context.Context
+	calls     atomic.Int64
+	flipAfter int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) > c.flipAfter {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFinishLineExpiryKeepsOptimality is the finish-line regression: a
+// search that ran to completion must stay optimal (and cacheable) even
+// when the context expires the instant it finishes. The old SolveContext
+// re-polled ctx after the search and demoted the proven schedule to a
+// canceled incumbent.
+func TestFinishLineExpiryKeepsOptimality(t *testing.T) {
+	// First pass: count how many times a successful solve polls the
+	// context. The sequential path is deterministic, so the count is too.
+	counter := &countdownCtx{Context: context.Background(), flipAfter: math.MaxInt64}
+	ref, err := SolveContext(counter, softPipeline4(t))
+	if err != nil || !ref.Optimal {
+		t.Fatalf("reference solve: optimal=%v err=%v", ref != nil && ref.Optimal, err)
+	}
+	polls := counter.calls.Load()
+
+	// Second pass: the context dies exactly after the search's last
+	// poll — every in-search poll saw it alive, so nothing was cut
+	// short and the result must remain a proven optimum.
+	late := &countdownCtx{Context: context.Background(), flipAfter: polls}
+	s, err := SolveContext(late, softPipeline4(t))
+	if err != nil {
+		t.Fatalf("finish-line expiry misreported a completed search: %v", err)
+	}
+	if !s.Optimal || s.Makespan != ref.Makespan {
+		t.Errorf("optimal=%v makespan=%d, want true, %d", s.Optimal, s.Makespan, ref.Makespan)
+	}
+}
+
+// softPipeline4 is a four-stage soft pipeline with a 0.9 reliability
+// target on its sink.
+func softPipeline4(t *testing.T) *Problem {
+	t.Helper()
+	g, err := apps.Pipeline(4, 500, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Problem{
+		App: g, Params: glossy.DefaultParams(), Diameter: 3,
+		Mode:     Soft,
+		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
+		SoftCons: map[dag.TaskID]float64{g.Sinks()[0]: 0.9},
 	}
 }

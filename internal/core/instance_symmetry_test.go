@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/netdag/netdag/internal/apps"
 	"github.com/netdag/netdag/internal/dag"
 	"github.com/netdag/netdag/internal/glossy"
 	"github.com/netdag/netdag/internal/multirate"
@@ -51,6 +52,76 @@ func avMultiRateProblem(t testing.TB) *Problem {
 		WHStat:         glossy.SyntheticWH{},
 		WHCons:         cons,
 		InstanceChains: res.Chains(),
+	}
+}
+
+// TestInterchangeClasses pins the symmetry detection on the switched
+// app: the sensors form one interchange class; the controller messages
+// (distinct WCETs upstream, distinct destination sets) form none.
+func TestInterchangeClasses(t *testing.T) {
+	sw, err := apps.Switched(apps.DefaultSwitched())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{
+		App: sw, Params: glossy.DefaultParams(), Diameter: 3,
+		Mode:     Soft,
+		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
+		SoftCons: map[dag.TaskID]float64{sw.Sinks()[0]: 0.85},
+	}
+	if err := p.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.iclasses) != 1 {
+		t.Fatalf("iclasses = %v, want exactly one class (the sensors)", p.iclasses)
+	}
+	cls := p.iclasses[0]
+	if len(cls) != 2 {
+		t.Fatalf("sensor class = %v, want 2 members", cls)
+	}
+	for _, tup := range cls {
+		if len(tup) != 1 {
+			t.Fatalf("sensor member %v, want a singleton tuple", tup)
+		}
+		src := sw.Task(sw.Message(tup[0]).Source)
+		if src.WCET != 500 {
+			t.Errorf("class member %d sourced by %q (wcet %d), want a sensor", tup[0], src.Name, src.WCET)
+		}
+	}
+	m0, m1 := cls[0][0], cls[1][0]
+
+	// Descending rounds with equal chi: dominated. Unequal chi: not.
+	assign := make([]int, sw.NumMessages())
+	chi := make([]int, sw.NumMessages()+2)
+	for i := range chi {
+		chi[i] = 2
+	}
+	assign[m0], assign[m1] = 1, 0
+	if !p.dominatedAssignment(assign, chi) {
+		t.Error("descending class rounds with equal chi not flagged as dominated")
+	}
+	chi[m0] = 3
+	if p.dominatedAssignment(assign, chi) {
+		t.Error("asymmetric chi tie-break must disable the symmetry skip")
+	}
+	assign[m0], assign[m1] = 0, 1
+	if p.dominatedAssignment(assign, chi) {
+		t.Error("ascending class rounds flagged as dominated")
+	}
+
+	// A release time on one sensor breaks the interchangeability.
+	p2 := &Problem{
+		App: sw, Params: glossy.DefaultParams(), Diameter: 3,
+		Mode:         Soft,
+		SoftStat:     glossy.BernoulliSoft{PerTX: 0.9},
+		SoftCons:     map[dag.TaskID]float64{sw.Sinks()[0]: 0.85},
+		ReleaseTimes: map[dag.TaskID]int64{sw.Message(m0).Source: 100},
+	}
+	if err := p2.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if len(p2.iclasses) != 0 {
+		t.Errorf("iclasses = %v despite a release time distinguishing the sensors", p2.iclasses)
 	}
 }
 
@@ -128,49 +199,45 @@ func TestInstanceChainClasses(t *testing.T) {
 // TestInstanceSymmetryEquivalence is the makespan-preservation
 // differential: with the symmetry skip and the chi-floor bound enabled
 // (default) and disabled (the ablation knobs), the solved schedules are
-// bit-identical — across worker counts and with and without the
-// portfolio. Only SolverNodes, the work accounting, is documented as
-// outside the schedule identity.
+// bit-identical across worker counts. Only SolverNodes, the work
+// accounting, is documented as outside the schedule identity.
 func TestInstanceSymmetryEquivalence(t *testing.T) {
 	var ref *Schedule
 	for _, workers := range []int{1, 4} {
-		for _, usePortfolio := range []bool{false, true} {
-			for _, disabled := range []bool{false, true} {
-				p := avMultiRateProblem(t)
-				p.Workers = workers
-				p.Portfolio = usePortfolio
-				p.NoSymmetry = disabled
-				p.NoChiFloors = disabled
-				s, err := Solve(p)
-				if err != nil {
-					t.Fatalf("workers=%d portfolio=%v disabled=%v: %v", workers, usePortfolio, disabled, err)
+		for _, disabled := range []bool{false, true} {
+			p := avMultiRateProblem(t)
+			p.Workers = workers
+			p.NoSymmetry = disabled
+			p.NoChiFloors = disabled
+			s, err := Solve(p)
+			if err != nil {
+				t.Fatalf("workers=%d disabled=%v: %v", workers, disabled, err)
+			}
+			if !s.Optimal {
+				t.Fatalf("workers=%d disabled=%v: not optimal", workers, disabled)
+			}
+			norm := *s
+			norm.SolverNodes = 0
+			if ref == nil {
+				r := norm
+				ref = &r
+				if err := s.Validate(p.App); err != nil {
+					t.Fatalf("reference schedule invalid: %v", err)
 				}
-				if !s.Optimal {
-					t.Fatalf("workers=%d portfolio=%v disabled=%v: not optimal", workers, usePortfolio, disabled)
-				}
-				norm := *s
-				norm.SolverNodes = 0
-				if ref == nil {
-					r := norm
-					ref = &r
-					if err := s.Validate(p.App); err != nil {
-						t.Fatalf("reference schedule invalid: %v", err)
+				for id, c := range p.WHCons {
+					guar, ok, err := SatisfiedWH(p, s, id)
+					if err != nil || !ok {
+						t.Fatalf("audit of task %d: ok=%v err=%v", id, ok, err)
 					}
-					for id, c := range p.WHCons {
-						guar, ok, err := SatisfiedWH(p, s, id)
-						if err != nil || !ok {
-							t.Fatalf("audit of task %d: ok=%v err=%v", id, ok, err)
-						}
-						if !wh.SufficientlyImpliesMiss(guar, c) {
-							t.Errorf("task %d guarantee %v misses requirement %v", id, guar, c)
-						}
+					if !wh.SufficientlyImpliesMiss(guar, c) {
+						t.Errorf("task %d guarantee %v misses requirement %v", id, guar, c)
 					}
-					continue
 				}
-				if !reflect.DeepEqual(&norm, ref) {
-					t.Errorf("workers=%d portfolio=%v disabled=%v: schedule differs from reference\ngot:  %+v\nwant: %+v",
-						workers, usePortfolio, disabled, norm, *ref)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(&norm, ref) {
+				t.Errorf("workers=%d disabled=%v: schedule differs from reference\ngot:  %+v\nwant: %+v",
+					workers, disabled, norm, *ref)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"github.com/netdag/netdag/internal/dag"
-	"github.com/netdag/netdag/internal/portfolio"
 	"github.com/netdag/netdag/internal/solver"
 	"github.com/netdag/netdag/internal/wh"
 )
@@ -28,9 +27,9 @@ import (
 //
 // Rounds act as global blackout windows, so total bus time dominates the
 // communication contribution to makespan; step 2's objective makes the
-// decomposition makespan-minimal in all but adversarial corner cases
-// (the A3 ablation quantifies this against exhaustive search on small
-// instances).
+// decomposition makespan-minimal in all but adversarial corner cases.
+// That gap to a joint (l, χ, ζ) optimum is unmeasured: the A3 ablation
+// compares exact against greedy placement only, with l and χ fixed.
 func Solve(p *Problem) (*Schedule, error) {
 	return SolveContext(context.Background(), p)
 }
@@ -748,22 +747,7 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 			return nil, errBoundPruned
 		}
 	} else {
-		if p.Portfolio {
-			// Race the strategy portfolio instead of the single canonical
-			// search. The rounds form the blackout chain the path-based
-			// bound reasons over, and the deterministic reconstruction
-			// inside portfolio.Minimize keeps the result — including
-			// Starts and Nodes — bit-identical to MinimizeContext's, so
-			// everything downstream (error mapping, redo-without-bound,
-			// schedule assembly) is shared with the single-strategy path.
-			prob.SetBlackoutChain(roundAct)
-			res, _, err = portfolio.Minimize(ctx, prob, p.SolverNodes, portfolio.Options{
-				Seed:      p.PortfolioSeed,
-				PathBound: true,
-			})
-		} else {
-			res, err = prob.MinimizeContext(ctx, p.SolverNodes)
-		}
+		res, err = prob.MinimizeContext(ctx, p.SolverNodes)
 		canceled := errors.Is(err, solver.ErrCanceled)
 		if canceled && res.Makespan >= 0 {
 			// Cancellation struck after a feasible placement was found:

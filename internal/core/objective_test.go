@@ -120,9 +120,9 @@ func TestEnergyObjectiveNeverWorseThanMakespanObjective(t *testing.T) {
 }
 
 // TestEnergyObjectiveDeterministicAcrossWorkers: the winner under
-// ObjectiveEnergy is identical for sequential and parallel searches, with
-// and without the portfolio, and with the energy bound ablated — the
-// bound (and parallelism) changes speed only.
+// ObjectiveEnergy is identical for sequential and parallel searches and
+// with the energy bound ablated — the bound (and parallelism) changes
+// speed only.
 func TestEnergyObjectiveDeterministicAcrossWorkers(t *testing.T) {
 	g, err := apps.MIMO(apps.MIMOConfig{
 		Sensors: 2, Controllers: 2, Actuators: 2,
@@ -138,12 +138,12 @@ func TestEnergyObjectiveDeterministicAcrossWorkers(t *testing.T) {
 			cons[task.ID] = wh.MissConstraint{Misses: 12, Window: 40}
 		}
 	}
-	mk := func(workers int, portfolio, noBound bool) *Schedule {
+	mk := func(workers int, noBound bool) *Schedule {
 		p := &Problem{
 			App: g, Params: glossy.DefaultParams(), Diameter: 3,
 			Mode: WeaklyHard, WHStat: glossy.SyntheticWH{}, WHCons: cons,
 			Objective: ObjectiveEnergy, Workers: workers,
-			Portfolio: portfolio, NoEnergyBound: noBound,
+			NoEnergyBound: noBound,
 		}
 		s, err := Solve(p)
 		if err != nil {
@@ -151,20 +151,18 @@ func TestEnergyObjectiveDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return s
 	}
-	ref := mk(1, false, false)
+	ref := mk(1, false)
 	for _, cfg := range []struct {
-		name      string
-		workers   int
-		portfolio bool
-		noBound   bool
+		name    string
+		workers int
+		noBound bool
 	}{
-		{"workers4", 4, false, false},
-		{"workers4-portfolio", 4, true, false},
-		{"workers1-nobound", 1, false, true},
-		{"workers4-nobound", 4, false, true},
+		{"workers4", 4, false},
+		{"workers1-nobound", 1, true},
+		{"workers4-nobound", 4, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			s := mk(cfg.workers, cfg.portfolio, cfg.noBound)
+			s := mk(cfg.workers, cfg.noBound)
 			if s.EnergyPC != ref.EnergyPC || s.Makespan != ref.Makespan {
 				t.Errorf("(energy, makespan) = (%d, %d); sequential reference (%d, %d)",
 					s.EnergyPC, s.Makespan, ref.EnergyPC, ref.Makespan)

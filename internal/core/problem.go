@@ -151,22 +151,6 @@ type Problem struct {
 	// with the polynomial chronological-dispatch heuristic (the A3
 	// ablation measures the optimality gap this costs).
 	GreedyPlacement bool
-	// Portfolio races heterogeneous exact strategies per timing search
-	// (internal/portfolio): canonical branch-and-bound, a greedy-seeded
-	// variant, and restart variants with different disjunction orderings,
-	// all sharing one atomic incumbent, plus the path-based makespan
-	// lower bound over the round blackout chain and symmetry breaking
-	// over interchangeable floods in the outer enumeration. The returned
-	// schedule is bit-identical to the single-strategy search: a
-	// deterministic reconstruction pass replays the canonical order under
-	// the proven optimum, so Portfolio changes solve time, never results.
-	// Ignored when GreedyPlacement is set (there is no exact search to
-	// race).
-	Portfolio bool
-	// PortfolioSeed seeds the portfolio's randomized restart strategy.
-	// The result does not depend on it (see Portfolio); it only shifts
-	// which subtrees the randomized strategy explores first.
-	PortfolioSeed int64
 
 	// InstanceChains optionally declares groups of tasks that are
 	// phase-shifted job instances of one base task — the metadata
@@ -347,9 +331,9 @@ func (p *Problem) normalize() error {
 				ErrBadConstraint, p.App.Task(id).Name, r)
 		}
 	}
-	// Interchange classes apply to every exact placement — single
-	// strategy or portfolio — since the dominance argument only needs
-	// the placement optimum; the greedy dispatcher does not compute one.
+	// Interchange classes apply to every exact placement, since the
+	// dominance argument only needs the placement optimum; the greedy
+	// dispatcher does not compute one.
 	if !p.GreedyPlacement && !p.NoSymmetry {
 		p.iclasses = p.interchangeClasses()
 	} else {

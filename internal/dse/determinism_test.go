@@ -11,7 +11,7 @@ import (
 
 // smallExploreConfig builds a sweep sized for CI: a 6-task MIMO app,
 // three power settings, a short mobility trace. Small enough to run the
-// whole worker/portfolio matrix in seconds, large enough that the
+// whole worker matrix in seconds, large enough that the
 // scheduler has real placement choices to disagree on if determinism
 // ever breaks.
 func smallExploreConfig(t testing.TB) Config {
@@ -35,11 +35,10 @@ func smallExploreConfig(t testing.TB) Config {
 	return cfg
 }
 
-// TestExploreDeterministicAcrossWorkersAndPortfolio pins that the DSE
-// sweep is a pure function of (Config minus Workers/Portfolio): the
-// parallel outer search and the racing portfolio change how fast the
-// answer arrives, never which answer.
-func TestExploreDeterministicAcrossWorkersAndPortfolio(t *testing.T) {
+// TestExploreDeterministicAcrossWorkers pins that the DSE sweep is a
+// pure function of (Config minus Workers): the parallel outer search
+// changes how fast the answer arrives, never which answer.
+func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	base := smallExploreConfig(t)
 	ref, err := Explore(base)
 	if err != nil {
@@ -54,30 +53,18 @@ func TestExploreDeterministicAcrossWorkersAndPortfolio(t *testing.T) {
 	if feasible == 0 {
 		t.Fatal("no feasible power setting; the variant comparison would be vacuous")
 	}
-	variants := []struct {
-		name      string
-		workers   int
-		portfolio bool
-	}{
-		{"workers4", 4, false},
-		{"workers1-portfolio", 1, true},
-		{"workers4-portfolio", 4, true},
+	cfg := base
+	cfg.Workers = 4
+	got, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range variants {
-		cfg := base
-		cfg.Workers = v.workers
-		cfg.Portfolio = v.portfolio
-		got, err := Explore(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("%s: %d points, want %d", v.name, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Errorf("%s: point %d differs:\n got %+v\nwant %+v", v.name, i, got[i], ref[i])
-			}
+	if len(got) != len(ref) {
+		t.Fatalf("workers4: %d points, want %d", len(got), len(ref))
+	}
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Errorf("workers4: point %d differs:\n got %+v\nwant %+v", i, got[i], ref[i])
 		}
 	}
 }
@@ -144,32 +131,21 @@ func TestExploreFrontsMatchesExplore(t *testing.T) {
 
 // TestExploreFrontsDeterministicAcrossWorkers extends the determinism
 // pin to the Pareto path: the full per-setting fronts must be identical
-// whether the ε-constraint sweep's inner solves run sequentially, with
-// four workers, or under the racing portfolio.
+// whether the ε-constraint sweep's inner solves run sequentially or
+// with four workers.
 func TestExploreFrontsDeterministicAcrossWorkers(t *testing.T) {
 	base := smallExploreConfig(t)
 	ref, err := ExploreFronts(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []struct {
-		name      string
-		workers   int
-		portfolio bool
-	}{
-		{"workers4", 4, false},
-		{"workers4-portfolio", 4, true},
+	cfg := base
+	cfg.Workers = 4
+	got, err := ExploreFronts(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range variants {
-		cfg := base
-		cfg.Workers = v.workers
-		cfg.Portfolio = v.portfolio
-		got, err := ExploreFronts(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: fronts differ from sequential reference", v.name)
-		}
+	if !reflect.DeepEqual(got, ref) {
+		t.Error("workers4: fronts differ from sequential reference")
 	}
 }

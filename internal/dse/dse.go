@@ -31,8 +31,7 @@ type Config struct {
 	Speed       float64 // random-waypoint speed per step
 	Qs          []float64
 	Seed        int64
-	Workers     int  // scheduler worker count (core.Problem.Workers)
-	Portfolio   bool // racing solver portfolio (core.Problem.Portfolio)
+	Workers     int // scheduler worker count (core.Problem.Workers)
 }
 
 // DefaultConfig explores ten power settings over a 10-node mobile
@@ -121,7 +120,6 @@ func explore(cfg Config) ([]Point, []*core.Problem, error) {
 			MaxNTX:    cfg.MaxNTX,
 			GreedyChi: true, // DSE sweeps many settings; speed over the last µs
 			Workers:   cfg.Workers,
-			Portfolio: cfg.Portfolio,
 		}
 		sched, err := core.Solve(prob)
 		if err != nil {

@@ -40,17 +40,9 @@ import (
 // their -workers flag.
 var Workers int
 
-// Portfolio enables the racing solver portfolio (core.Problem.Portfolio)
-// on every scheduling problem the experiments build. The experiment
-// binaries expose it as their -portfolio flag; results are unchanged —
-// the portfolio is deterministic and exact.
-var Portfolio bool
-
-// solve runs core.Solve with the package-wide Workers and Portfolio
-// settings applied.
+// solve runs core.Solve with the package-wide Workers setting applied.
 func solve(p *core.Problem) (*core.Schedule, error) {
 	p.Workers = Workers
-	p.Portfolio = Portfolio
 	return core.Solve(p)
 }
 
@@ -115,7 +107,6 @@ func Fig2() ([]Fig2Point, error) {
 				return nil, err
 			}
 			p.Workers = Workers
-			p.Portfolio = Portfolio
 			m, err := core.MinMakespan(p)
 			if err != nil {
 				return nil, fmt.Errorf("figures: fig2 level %v, %d actuators: %w", level, k, err)
@@ -161,7 +152,6 @@ func Fig4() ([]dse.Point, error) {
 	cfg := dse.DefaultConfig(g, cons)
 	cfg.MobileNodes = 13 // one mobile node per task
 	cfg.Workers = Workers
-	cfg.Portfolio = Portfolio
 	return dse.Explore(cfg)
 }
 
@@ -181,7 +171,6 @@ func Fig4Pareto() ([]dse.QFront, error) {
 	cfg := dse.DefaultConfig(g, cons)
 	cfg.MobileNodes = 13 // one mobile node per task
 	cfg.Workers = Workers
-	cfg.Portfolio = Portfolio
 	return dse.ExploreFronts(cfg)
 }
 

@@ -59,12 +59,6 @@ type Config struct {
 	// SolveWorkers is Problem.Workers for each solve (default 0 =
 	// GOMAXPROCS inside the solver).
 	SolveWorkers int
-	// Portfolio enables the racing solver portfolio for every solve
-	// (core.Problem.Portfolio). The portfolio is deterministic, so cached
-	// bodies stay reproducible; PortfolioSeed feeds its seeded restart
-	// strategy without affecting the result.
-	Portfolio     bool
-	PortfolioSeed int64
 	// DefaultDeadline applies to requests that name no deadline; zero
 	// means solve without a deadline.
 	DefaultDeadline time.Duration
@@ -89,7 +83,8 @@ type Config struct {
 	// successful admission resets it. The zero value selects
 	// {Base: 1s, Max: 30s}.
 	RetryPolicy backoff.Policy
-	// RetrySeed seeds the Retry-After jitter (0 = no jitter: hints are
+	// RetrySeed seeds the Retry-After jitter and every session's
+	// re-solve retry jitter (0 = no jitter: hints and retry delays are
 	// the deterministic envelope).
 	RetrySeed int64
 	// Cluster shards the cache tier across peers (internal/cluster):
@@ -431,10 +426,6 @@ func (s *Server) runFlight(f *spec.File, key string, start time.Time, deadline t
 	}
 	if s.cfg.SolveWorkers > 0 {
 		p.Workers = s.cfg.SolveWorkers
-	}
-	if s.cfg.Portfolio {
-		p.Portfolio = true
-		p.PortfolioSeed = s.cfg.PortfolioSeed
 	}
 
 	// Warm-start: seed the search from structurally identical cached

@@ -247,72 +247,6 @@ func TestRealDeadlineOnRealSolver(t *testing.T) {
 	}
 }
 
-// TestPortfolioSolveCachesOptimalWinner: with the portfolio enabled the
-// race's winner is a proven optimum — the response says optimal=true,
-// matches the single-strategy schedule, and is cached like any complete
-// solve (miss, then hit with an identical body).
-func TestPortfolioSolveCachesOptimalWinner(t *testing.T) {
-	single := New(Config{})
-	rs := postSolve(t, single, pipelineSpec(3), "")
-	if rs.Code != http.StatusOK {
-		t.Fatalf("single-strategy solve: status %d, body %s", rs.Code, rs.Body)
-	}
-	var sOut spec.ScheduleOut
-	if err := json.Unmarshal(rs.Body.Bytes(), &sOut); err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{Portfolio: true, PortfolioSeed: 9})
-	r1 := postSolve(t, s, pipelineSpec(3), "")
-	if r1.Code != http.StatusOK {
-		t.Fatalf("portfolio solve: status %d, body %s", r1.Code, r1.Body)
-	}
-	if got := r1.Header().Get(cacheHeader); got != "miss" {
-		t.Errorf("first portfolio solve cache header = %q, want miss", got)
-	}
-	var out spec.ScheduleOut
-	if err := json.Unmarshal(r1.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Optimal {
-		t.Error("portfolio winner not marked optimal — a canceled loser leaked into the result")
-	}
-	if out.MakespanUS != sOut.MakespanUS {
-		t.Errorf("portfolio makespan %d != single-strategy %d", out.MakespanUS, sOut.MakespanUS)
-	}
-
-	r2 := postSolve(t, s, pipelineSpec(3), "")
-	if got := r2.Header().Get(cacheHeader); got != "hit" {
-		t.Errorf("second portfolio solve cache header = %q, want hit (optimal result not cached)", got)
-	}
-	if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
-		t.Error("cache hit served a different body than the portfolio solve")
-	}
-}
-
-// TestPortfolioDeadlineNeverBoundedNorCached: an expired deadline on a
-// portfolio solve surfaces exactly like the single-strategy path — 504
-// without an incumbent or 200+incomplete with one — never a 4xx from the
-// internal race cancellation, and nothing enters the cache.
-func TestPortfolioDeadlineNeverBoundedNorCached(t *testing.T) {
-	s := New(Config{Portfolio: true})
-	r := postSolve(t, s, pipelineSpec(3), "?deadline=1ns")
-	switch r.Code {
-	case http.StatusGatewayTimeout:
-		// no incumbent in time — the common case for a 1 ns budget
-	case http.StatusOK:
-		if got := r.Header().Get(incompleteHeader); got != "deadline" {
-			t.Errorf("200 under an expired deadline must be marked incomplete, header %q", got)
-		}
-	default:
-		t.Fatalf("status %d, want 200 (incumbent) or 504 — a race cancellation leaked as a client error: %s",
-			r.Code, r.Body)
-	}
-	if s.cache.len() != 0 {
-		t.Error("deadline-expired portfolio solve was cached")
-	}
-}
-
 // TestAdmissionControl: with a budget of one solve and a queue of one,
 // a third distinct concurrent request is turned away with 429.
 func TestAdmissionControl(t *testing.T) {

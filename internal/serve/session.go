@@ -81,6 +81,20 @@ type sessionCreated struct {
 	Status session.StatusView `json:"status"`
 }
 
+// sessionConfig maps the server's knobs onto a new session's: the
+// solve worker count, the re-solve deadline and attempt budget, and
+// RetrySeed as the re-solve retry jitter seed.
+func (s *Server) sessionConfig(safeDiameters []int) session.Config {
+	return session.Config{
+		Workers:         s.cfg.SolveWorkers,
+		ResolveDeadline: s.cfg.SessionDeadline,
+		MaxAttempts:     s.cfg.SessionAttempts,
+		BackoffSeed:     s.cfg.RetrySeed,
+		SafeDiameters:   safeDiameters,
+		ObserveResolve:  s.metrics.observeSessionResolve,
+	}
+}
+
 // handleSessionCreate is POST /v1/session.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
@@ -110,16 +124,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.relay(w, res, "")
 		return
 	}
-	sess, err := session.New(ctx, &req.Spec, session.Config{
-		Workers:         s.cfg.SolveWorkers,
-		Portfolio:       s.cfg.Portfolio,
-		PortfolioSeed:   s.cfg.PortfolioSeed,
-		ResolveDeadline: s.cfg.SessionDeadline,
-		MaxAttempts:     s.cfg.SessionAttempts,
-		BackoffSeed:     s.cfg.PortfolioSeed,
-		SafeDiameters:   req.SafeDiameters,
-		ObserveResolve:  s.metrics.observeSessionResolve,
-	})
+	sess, err := session.New(ctx, &req.Spec, s.sessionConfig(req.SafeDiameters))
 	<-s.sem
 	if err != nil {
 		s.metrics.solveErrors.Add(1)

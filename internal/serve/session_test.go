@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -210,6 +211,38 @@ func TestSessionFeedStreams(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("feed never delivered the entry")
+	}
+}
+
+// TestSessionConfigFromServer pins how the server's knobs reach each
+// session: RetrySeed, the only jitter seed netdag-serve exposes, must
+// seed the session's re-solve retry jitter too.
+func TestSessionConfigFromServer(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		safe []int
+		want session.Config
+	}{
+		{"zero", Config{}, nil, session.Config{}},
+		{"retry-seed", Config{RetrySeed: 7}, nil, session.Config{BackoffSeed: 7}},
+		{"all", Config{
+			SolveWorkers: 3, SessionDeadline: 2 * time.Second, SessionAttempts: 5, RetrySeed: 11,
+		}, []int{3, 5}, session.Config{
+			Workers: 3, ResolveDeadline: 2 * time.Second, MaxAttempts: 5, BackoffSeed: 11,
+			SafeDiameters: []int{3, 5},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := New(c.cfg).sessionConfig(c.safe)
+			if got.ObserveResolve == nil {
+				t.Error("session re-solves are not observed by the serve metrics")
+			}
+			got.ObserveResolve = nil
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("session config = %+v, want %+v", got, c.want)
+			}
+		})
 	}
 }
 

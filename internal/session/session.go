@@ -121,11 +121,9 @@ type Stats struct {
 
 // Config tunes a session.
 type Config struct {
-	// Workers / Portfolio / PortfolioSeed configure every solve the
-	// session runs, exactly as on core.Problem.
-	Workers       int
-	Portfolio     bool
-	PortfolioSeed int64
+	// Workers configures every solve the session runs, exactly as on
+	// core.Problem.
+	Workers int
 	// ResolveDeadline bounds each re-solve attempt (0 = none; with no
 	// deadline there are no transient failures, so every event resolves
 	// in one attempt and the journal is deterministic).
@@ -240,8 +238,6 @@ func buildProblem(f *spec.File, cfg Config) (*core.Problem, error) {
 		return nil, err
 	}
 	p.Workers = cfg.Workers
-	p.Portfolio = cfg.Portfolio
-	p.PortfolioSeed = cfg.PortfolioSeed
 	return p, nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/netdag/netdag/internal/stn"
 )
@@ -28,35 +27,11 @@ type Problem struct {
 	net     *stn.STN
 	start   []stn.VarID
 	dur     []int64
-	name    []string
 	end     stn.VarID
 	disj    [][2]ActID
 	gap     int64
 	bounded bool // a MakespanBound was imposed externally
-
-	// ops replays the base constraints (precedences, releases, deadlines,
-	// makespan bounds) so Clone can rebuild an identical instance. Search
-	// branching bypasses the log via precede, so the log only ever holds
-	// the instance itself, never transient branch orderings.
-	ops []baseOp
-	// chain is the declared blackout chain (see SetBlackoutChain), used by
-	// the optional path-based lower bound.
-	chain []ActID
 }
-
-// baseOp is one replayable base constraint.
-type baseOp struct {
-	kind uint8
-	a, b ActID
-	t    int64
-}
-
-const (
-	opPrec uint8 = iota
-	opRel
-	opDL
-	opMSB
-)
 
 // Result is a schedule: start times per activity and the achieved
 // makespan.
@@ -112,7 +87,6 @@ func (p *Problem) AddActivity(name string, dur int64) ActID {
 	v := p.net.NewVar(name)
 	p.start = append(p.start, v)
 	p.dur = append(p.dur, dur)
-	p.name = append(p.name, name)
 	// Makespan covers every activity.
 	p.net.AddMin(p.end, v, dur)
 	return id
@@ -124,21 +98,16 @@ func (p *Problem) NumActivities() int { return len(p.start) }
 // Duration returns the duration of a.
 func (p *Problem) Duration(a ActID) int64 { return p.dur[a] }
 
-// Name returns the name of a.
-func (p *Problem) Name(a ActID) string { return p.name[a] }
-
 // Precede imposes start(b) >= start(a) + dur(a) + gap: b strictly after a
 // completes.
 func (p *Problem) Precede(a, b ActID) {
 	p.check(a)
 	p.check(b)
-	p.ops = append(p.ops, baseOp{kind: opPrec, a: a, b: b})
 	p.precede(a, b)
 }
 
-// precede is Precede without the replay log: the branch-and-bound search
-// and the greedy dispatcher impose transient orderings through it, so
-// Clone never observes half-explored branches.
+// precede is Precede without the bounds checks: the branch-and-bound
+// search and the greedy dispatcher impose transient orderings through it.
 func (p *Problem) precede(a, b ActID) {
 	p.net.AddMin(p.start[b], p.start[a], p.dur[a]+p.gap)
 }
@@ -146,14 +115,12 @@ func (p *Problem) precede(a, b ActID) {
 // Release imposes start(a) >= t.
 func (p *Problem) Release(a ActID, t int64) {
 	p.check(a)
-	p.ops = append(p.ops, baseOp{kind: opRel, a: a, t: t})
 	p.net.AddMin(p.start[a], stn.Zero, t)
 }
 
 // Deadline imposes start(a) + dur(a) <= t.
 func (p *Problem) Deadline(a ActID, t int64) {
 	p.check(a)
-	p.ops = append(p.ops, baseOp{kind: opDL, a: a, t: t})
 	p.net.AddMax(p.start[a], stn.Zero, t-p.dur[a])
 }
 
@@ -162,36 +129,7 @@ func (p *Problem) Deadline(a ActID, t int64) {
 // than ErrInfeasible, since it may be an artifact of the bound.
 func (p *Problem) MakespanBound(t int64) {
 	p.bounded = true
-	p.ops = append(p.ops, baseOp{kind: opMSB, t: t})
 	p.net.AddMax(p.end, stn.Zero, t)
-}
-
-// Clone returns an independent copy of the instance: same activities,
-// base constraints, disjunctions, and blackout chain, with a fresh STN in
-// its initial (pre-search) state. Activity IDs and the Starts layout of
-// results carry over unchanged. Clone only reads the receiver, so any
-// number of clones may be taken concurrently — the racing portfolio takes
-// one per strategy.
-func (p *Problem) Clone() *Problem {
-	q := NewProblem(p.gap)
-	for i := range p.start {
-		q.AddActivity(p.name[i], p.dur[i])
-	}
-	for _, o := range p.ops {
-		switch o.kind {
-		case opPrec:
-			q.Precede(o.a, o.b)
-		case opRel:
-			q.Release(o.a, o.t)
-		case opDL:
-			q.Deadline(o.a, o.t)
-		case opMSB:
-			q.MakespanBound(o.t)
-		}
-	}
-	q.disj = append([][2]ActID(nil), p.disj...)
-	q.chain = append([]ActID(nil), p.chain...)
-	return q
 }
 
 // Disjoint declares that a and b must not overlap in time (in either
@@ -238,15 +176,6 @@ func (p *Problem) Minimize(maxNodes int) (Result, error) {
 // Optimal = false) or Makespan = -1 when cancellation struck before any
 // feasible schedule was reached.
 func (p *Problem) MinimizeContext(ctx context.Context, maxNodes int) (Result, error) {
-	return p.minimize(ctx, maxNodes, raceConfig{})
-}
-
-// minimize is the branch-and-bound engine behind MinimizeContext and
-// MinimizeRace. With a zero raceConfig it is bit-identical to the
-// canonical search (same branch decisions, same node count); the config
-// hooks add a violated-disjunction ordering strategy, a shared incumbent
-// to publish to and prune against, and the path-based lower bound.
-func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Result, error) {
 	res := Result{Makespan: -1}
 	nodes := 0
 	// truncated records that the budget actually cut the search short — a
@@ -254,16 +183,11 @@ func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Res
 	// apart from a search that finished exactly on budget.
 	truncated := false
 	canceled := false
-	// settled is the FirstFeasible stop signal: the first feasible leaf
-	// was recorded, so the whole search unwinds without visiting (or
-	// counting) any further node.
-	settled := false
 	budget := func() bool { return maxNodes > 0 && nodes >= maxNodes }
 	net := p.net
-	pb := o.pathBound // nil unless enabled and a blackout chain qualifies
 	var rec func(from int)
 	rec = func(from int) {
-		if canceled || settled {
+		if canceled {
 			return
 		}
 		if nodes&cancelCheckMask == 0 && ctx.Err() != nil {
@@ -282,95 +206,23 @@ func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Res
 		if res.Makespan >= 0 && lb >= res.Makespan {
 			return // bound: cannot improve
 		}
-		if o.shared != nil && lb > o.shared.Load() {
-			// Another racing strategy already holds a schedule at least as
-			// good as anything below this node. Strictly greater only: a
-			// subtree that could *match* the shared bound must survive so
-			// the race still proves optimality of the published makespan.
-			return
-		}
-		if pb != nil && (res.Makespan >= 0 || pb.cap >= 0 ||
-			(o.shared != nil && o.shared.Load() != math.MaxInt64)) {
-			// Second-chance prune: the path bound sees the blackout chain's
-			// global bus occupancy, which the STN's critical path cannot.
-			plb := p.pathLB(pb)
-			if plb > lb {
-				if res.Makespan >= 0 && plb >= res.Makespan {
-					return
-				}
-				if o.shared != nil && plb > o.shared.Load() {
-					return
-				}
-				if pb.cap >= 0 && plb > pb.cap {
-					return // cannot meet the imposed MakespanBound
-				}
-			}
-		}
 		// Find a violated disjunction under the earliest schedule. The
-		// default scan resumes cyclically from the disjunction branched on
-		// last: the ordering just imposed rarely disturbs the disjunctions
+		// scan resumes cyclically from the disjunction branched on last:
+		// the ordering just imposed rarely disturbs the disjunctions
 		// already passed over, so the next violation is usually a near
 		// neighbor — but a shifted schedule *can* re-violate an earlier
 		// pair, so the scan still wraps around and covers all of p.disj
-		// before the node may be declared feasible. OrderRandom walks the
-		// same cycle through a seeded permutation; OrderMostConstrained
-		// scans everything and branches on the largest overlap.
+		// before the node may be declared feasible.
 		nd := len(p.disj)
-		branch := -1 // disjunction index to branch on
-		next := 0    // the `from` passed down to child nodes
-		switch {
-		case o.order == OrderMostConstrained:
-			var worst int64
-			for i := 0; i < nd; i++ {
-				pair := p.disj[i]
-				a, b := pair[0], pair[1]
-				sa, sb := net.Dist(p.start[a]), net.Dist(p.start[b])
-				ea, eb := sa+p.dur[a]+p.gap, sb+p.dur[b]+p.gap
-				if ea <= sb || eb <= sa {
-					continue
-				}
-				ov := ea
-				if eb < ov {
-					ov = eb
-				}
-				if sa > sb {
-					ov -= sa
-				} else {
-					ov -= sb
-				}
-				if branch < 0 || ov > worst {
-					branch, worst = i, ov
-				}
+		for k := 0; k < nd; k++ {
+			i := from + k
+			if i >= nd {
+				i -= nd
 			}
-		case o.order == OrderRandom:
-			for k := 0; k < nd; k++ {
-				pos := from + k
-				if pos >= nd {
-					pos -= nd
-				}
-				i := o.perm[pos]
-				pair := p.disj[i]
-				if p.overlapsNow(pair[0], pair[1]) {
-					branch, next = i, pos
-					break
-				}
+			a, b := p.disj[i][0], p.disj[i][1]
+			if !p.overlapsNow(a, b) {
+				continue
 			}
-		default: // OrderCyclic
-			for k := 0; k < nd; k++ {
-				i := from + k
-				if i >= nd {
-					i -= nd
-				}
-				pair := p.disj[i]
-				if p.overlapsNow(pair[0], pair[1]) {
-					branch, next = i, i
-					break
-				}
-			}
-		}
-		if branch >= 0 {
-			pair := p.disj[branch]
-			a, b := pair[0], pair[1]
 			// Branch on the order of a and b. Try the order suggested by
 			// the earliest times first (better first incumbent).
 			first, second := a, b
@@ -379,9 +231,9 @@ func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Res
 			}
 			mark := net.Mark()
 			p.precede(first, second)
-			rec(next)
+			rec(i)
 			net.Reset(mark)
-			if canceled || settled {
+			if canceled {
 				return
 			}
 			if budget() {
@@ -390,26 +242,19 @@ func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Res
 			}
 			mark = net.Mark()
 			p.precede(second, first)
-			rec(next)
+			rec(i)
 			net.Reset(mark)
 			return
 		}
-		// No violated disjunction: the earliest schedule is feasible.
-		if res.Makespan < 0 || lb < res.Makespan {
-			if res.Starts == nil {
-				res.Starts = make([]int64, len(p.start))
-			}
-			for i, v := range p.start {
-				res.Starts[i] = net.Dist(v)
-			}
-			res.Makespan = lb
-			if o.shared != nil {
-				o.shared.Publish(lb)
-			}
-			if o.firstFeasible {
-				settled = true
-			}
+		// No violated disjunction: the earliest schedule is feasible, and
+		// the bound check above guarantees it improves the incumbent.
+		if res.Starts == nil {
+			res.Starts = make([]int64, len(p.start))
 		}
+		for i, v := range p.start {
+			res.Starts[i] = net.Dist(v)
+		}
+		res.Makespan = lb
 	}
 	rec(0)
 	res.Nodes = nodes
@@ -427,7 +272,7 @@ func (p *Problem) minimize(ctx context.Context, maxNodes int, o raceConfig) (Res
 		}
 		return res, ErrInfeasible
 	}
-	res.Optimal = !truncated && !settled
+	res.Optimal = !truncated
 	return res, nil
 }
 

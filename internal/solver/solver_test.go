@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -275,7 +276,7 @@ func validateSchedule(t *testing.T, p *Problem, res Result) {
 		okBA := sb+p.dur[b]+p.gap <= sa
 		if !okAB && !okBA {
 			t.Errorf("disjunction %s/%s violated: %d+%d vs %d+%d",
-				p.name[a], p.name[b], sa, p.dur[a], sb, p.dur[b])
+				p.net.Name(p.start[a]), p.net.Name(p.start[b]), sa, p.dur[a], sb, p.dur[b])
 		}
 	}
 	var maxEnd int64
@@ -454,5 +455,34 @@ func TestMinimizeIsRepeatable(t *testing.T) {
 	}
 	if g.Makespan < r1.Makespan {
 		t.Errorf("greedy %d beat exact %d", g.Makespan, r1.Makespan)
+	}
+}
+
+// TestCanonicalSearchPinned pins the canonical branch-and-bound on the
+// LWB-like shapes: the proven makespan, the exact node count, and the
+// start vector. Any change to branching order, pruning or the cyclic
+// resume point moves at least one of them; schedule identity downstream
+// (golden pins, corpus bytes, cached schedule bodies) rests on this search.
+func TestCanonicalSearchPinned(t *testing.T) {
+	for _, c := range []struct {
+		tasks, rounds int
+		makespan      int64
+		nodes         int
+		starts        []int64
+	}{
+		{14, 4, 27466, 1307, []int64{0, 0, 0, 109, 951, 0, 0, 428, 1078, 0, 0, 0, 0, 602, 1463, 6464, 12465, 19466}},
+		{10, 3, 19255, 109, []int64{0, 0, 0, 109, 951, 0, 0, 428, 1078, 0, 1253, 6254, 12255}},
+	} {
+		res, err := lwbLikeInstance(c.tasks, c.rounds).Minimize(100000)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", c.tasks, c.rounds, err)
+		}
+		if !res.Optimal || res.Makespan != c.makespan || res.Nodes != c.nodes {
+			t.Errorf("%dx%d: makespan %d optimal %v in %d nodes, want %d optimal in %d",
+				c.tasks, c.rounds, res.Makespan, res.Optimal, res.Nodes, c.makespan, c.nodes)
+		}
+		if !reflect.DeepEqual(res.Starts, c.starts) {
+			t.Errorf("%dx%d: starts %v, want %v", c.tasks, c.rounds, res.Starts, c.starts)
+		}
 	}
 }
