@@ -12,9 +12,10 @@
 //   - solves the spec and records makespan / optimality / enumeration
 //     size (or the unsat outcome — infeasible scenarios are regression
 //     cases too: the solver must keep rejecting them);
-//   - re-solves with symmetry breaking disabled and fails unless the
-//     makespan is identical (the skip must be exact on every scenario,
-//     not just the hand-written tests);
+//   - re-solves with symmetry breaking and the χ memo disabled and
+//     fails unless the makespan, bus time and round assignment are
+//     identical (both must be exact on every scenario, not just the
+//     hand-written tests);
 //   - every -certify-every-th solved scenario, deploys the schedule on
 //     a clique and runs a seeded fault-injection campaign, certifying
 //     the observed miss streams against the declared constraints.
@@ -35,6 +36,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,7 +102,7 @@ func main() {
 	certifyEvery := flag.Int("certify-every", 20, "certify every k-th solved scenario (0 = never)")
 	certifyReps := flag.Int("certify-reps", 5, "campaign replications per certified scenario")
 	certifyRuns := flag.Int("certify-runs", 200, "schedule periods per replication")
-	noSymCheck := flag.Bool("no-symmetry-check", false, "skip the NoSymmetry makespan cross-check")
+	noSymCheck := flag.Bool("no-symmetry-check", false, "skip the NoSymmetry re-solve cross-check")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -176,11 +178,12 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("scenario %d: NoSymmetry re-solve failed: %w", i, err))
 			}
-			ent.SymmetryEqual = s2.Makespan == s.Makespan
+			ent.SymmetryEqual = s2.Makespan == s.Makespan && s2.BusTime == s.BusTime &&
+				slices.Equal(s2.Assign, s.Assign)
 			man.Aggregate.SymChecked++
 			if !ent.SymmetryEqual {
-				fmt.Fprintf(os.Stderr, "netdag-gen: scenario %d: symmetry skip changed the makespan (%d vs %d)\n",
-					i, s.Makespan, s2.Makespan)
+				fmt.Fprintf(os.Stderr, "netdag-gen: scenario %d: symmetry skip or χ memo changed the schedule (makespan %d vs %d, bus time %d vs %d)\n",
+					i, s.Makespan, s2.Makespan, s.BusTime, s2.BusTime)
 				failures++
 			}
 		}

@@ -130,6 +130,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if !*baseline && !s.ChiExact {
+		fmt.Fprintln(os.Stderr, "netdag: χ search stopped at its node budget or ran greedy; χ is not proven optimal for the chosen round assignment")
+	}
 	switch {
 	case front != nil && *jsonOut:
 		if err := spec.WriteFrontJSON(os.Stdout, p, front); err != nil {

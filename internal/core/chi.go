@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"sync"
+)
 
 // This file solves the χ-assignment subproblem: given a round assignment
 // l, pick the retransmission parameter N_TX for every flood (message
@@ -31,24 +36,89 @@ type chiInstance struct {
 
 type chiConstraint struct {
 	task   string // for error messages
-	floods []int
+	floods []int  // distinct flood indices
 	budget float64
 }
 
 const chiEps = 1e-9
 
+// chiResumTol is the relative distance from a constraint's threshold
+// within which solveExact re-sums an incrementally kept deficit sum. It
+// is ~100× the rounding an incremental soft-mode sum can accumulate;
+// weakly-hard sums are integers and exact.
+const chiResumTol = 1e-12
+
+// chiNodeBudget caps the exact χ search. Past it the search returns its
+// incumbent — at worst the greedy seed — so the scheduler's worst case
+// stays polynomial; solve then reports the vector as not exact.
+const chiNodeBudget = 300000
+
 // solve picks exact or greedy search. The exact search runs when the
 // number of floods that actually appear in constraints is small
 // (unconstrained floods are pinned to their lower bounds and never
-// branched on); both return the chosen χ per flood.
-func (ci *chiInstance) solve(forceGreedy bool) ([]int, error) {
+// branched on); both return the chosen χ per flood. exact reports a
+// proven cost-minimal vector: false when the greedy optimizer ran or
+// the exact search hit chiNodeBudget.
+func (ci *chiInstance) solve(forceGreedy bool) (chi []int, exact bool, err error) {
 	if err := ci.checkFeasibleAtUpper(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if !forceGreedy && ci.numConstrained() <= exactChiFloodLimit {
-		return ci.solveExact()
+		chi, nodes, err := ci.solveExact()
+		return chi, nodes <= chiNodeBudget, err
 	}
-	return ci.solveGreedy()
+	chi, err = ci.solveGreedy()
+	return chi, false, err
+}
+
+// chiMemo is the per-solve χ memo: one solved entry per distinct χ
+// instance (see Problem.chiMemo). A nil memo solves every instance.
+type chiMemo struct {
+	mu sync.Mutex
+	m  map[string]chiMemoEntry
+}
+
+// chiMemoEntry is one solved χ instance: solve's vector and exact flag,
+// or its error. Entries are immutable after store; place only reads chi,
+// so sharing the slice across assignments is safe.
+type chiMemoEntry struct {
+	chi   []int
+	exact bool
+	err   error
+}
+
+// solveOnce returns ci's memoized solution, solving and storing it on a
+// miss. The key is n plus each constraint's flood list in constraint
+// order. Everything else in an instance is fixed for the solve or
+// follows from the flood lists — budgets, costs, deficits, task names
+// and lower bounds — and solve is deterministic, so an entry is exactly
+// what solving ci again would return. Parallel workers that miss on the
+// same key both solve it and store equal entries.
+func (m *chiMemo) solveOnce(ci *chiInstance, forceGreedy bool) chiMemoEntry {
+	var ent chiMemoEntry
+	if m == nil {
+		ent.chi, ent.exact, ent.err = ci.solve(forceGreedy)
+		return ent
+	}
+	var buf [512]byte
+	key := binary.AppendUvarint(buf[:0], uint64(ci.n))
+	for _, c := range ci.cons {
+		key = binary.AppendUvarint(key, uint64(len(c.floods)))
+		for _, f := range c.floods {
+			key = binary.AppendUvarint(key, uint64(f))
+		}
+	}
+	m.mu.Lock()
+	ent, ok := m.m[string(key)]
+	m.mu.Unlock()
+	if ok {
+		return ent
+	}
+	ent.chi, ent.exact, ent.err = ci.solve(forceGreedy)
+	m.mu.Lock()
+	m.m[string(key)] = ent
+	m.mu.Unlock()
+	return ent
 }
 
 // numConstrained counts floods referenced by at least one constraint.
@@ -157,32 +227,57 @@ func (ci *chiInstance) solveGreedy() ([]int, error) {
 // start. The bound combines committed cost with remaining lower-bound
 // costs, and a per-constraint feasibility prune assumes unassigned
 // floods go to MaxNTX.
-func (ci *chiInstance) solveExact() ([]int, error) {
+//
+// Each constraint's optimistic deficit sum is kept incrementally through
+// a flood→constraint adjacency: fixing a flood changes only its own
+// constraints, so only those are re-checked, and a leaf is feasible
+// once its last flood's constraints pass. A child that fails the cost
+// bound is counted without a call, together with its costlier siblings.
+// The tree, its visiting order and the node count are those of re-summing
+// every constraint at every node; an incremental sum that lands within
+// rounding distance of the threshold is re-summed in flood-list order so
+// the soft-mode (float) decisions match too. It returns the nodes visited.
+func (ci *chiInstance) solveExact() ([]int, int, error) {
 	chi := make([]int, ci.n)
 	copy(chi, ci.lower)
-	// Branch order: constrained floods only.
-	inCons := make([]bool, ci.n)
+	// adj[adjAt[f]:adjAt[f+1]] lists the constraints containing flood f.
+	// After the prefix sum adjAt[f] is the end of f's range; filling the
+	// range from its end leaves adjAt[f] at its start.
+	adjAt := make([]int, ci.n+1)
 	for _, c := range ci.cons {
 		for _, f := range c.floods {
-			inCons[f] = true
+			adjAt[f]++
 		}
 	}
-	var order []int
+	for f := 1; f <= ci.n; f++ {
+		adjAt[f] += adjAt[f-1]
+	}
+	adj := make([]int, adjAt[ci.n])
+	for c := len(ci.cons) - 1; c >= 0; c-- {
+		for _, f := range ci.cons[c].floods {
+			adjAt[f]--
+			adj[adjAt[f]] = c
+		}
+	}
+	// Branch order: constrained floods only, order[i] with its Pareto
+	// level set lvs[lvAt[i]:lvAt[i+1]]. assigned[f] reports whether
+	// flood f's level is final in the current partial assignment.
+	order := make([]int, 0, ci.n)
+	lvAt, lvs := make([]int, 1, ci.n+1), make([]int, 0, ci.n*ci.upper)
+	assigned := make([]bool, ci.n)
 	for f := 0; f < ci.n; f++ {
-		if inCons[f] {
-			order = append(order, f)
+		if adjAt[f+1] == adjAt[f] {
+			assigned[f] = true
+			continue
 		}
-	}
-	// Pareto level sets per branching flood.
-	levels := make([][]int, ci.n)
-	for _, f := range order {
-		lv := []int{ci.lower[f]}
+		order = append(order, f)
+		lvs = append(lvs, ci.lower[f])
 		for v := ci.lower[f] + 1; v <= ci.upper; v++ {
-			if ci.def[f][v-1] < ci.def[f][lv[len(lv)-1]-1]-chiEps {
-				lv = append(lv, v)
+			if ci.def[f][v-1] < ci.def[f][lvs[len(lvs)-1]-1]-chiEps {
+				lvs = append(lvs, v)
 			}
 		}
-		levels[f] = lv
+		lvAt = append(lvAt, len(lvs))
 	}
 	best := make([]int, ci.n)
 	bestCost := int64(-1)
@@ -195,7 +290,7 @@ func (ci *chiInstance) solveExact() ([]int, error) {
 	// pinnedCost: cost of all non-branching floods at lower bound.
 	var pinnedCost int64
 	for f := 0; f < ci.n; f++ {
-		if !inCons[f] {
+		if assigned[f] {
 			pinnedCost += ci.cost[f][ci.lower[f]-1]
 		}
 	}
@@ -205,62 +300,83 @@ func (ci *chiInstance) solveExact() ([]int, error) {
 		f := order[i]
 		minRemCost[i] = minRemCost[i+1] + ci.cost[f][ci.lower[f]-1]
 	}
-	// assigned[f] reports whether flood f's level is final in the
-	// current partial assignment.
-	assigned := make([]bool, ci.n)
-	for f := 0; f < ci.n; f++ {
-		assigned[f] = !inCons[f]
+	// sum[c] is constraint c's optimistic deficit sum, and
+	// saved[adjAt[f]:adjAt[f+1]] holds f's constraint sums from before f
+	// was fixed, restored on the way back up.
+	sums := make([]float64, len(ci.cons)+len(adj))
+	sum, saved := sums[:len(ci.cons)], sums[len(ci.cons):]
+	feasible := true
+	for c := range ci.cons {
+		sum[c] = ci.optimisticSum(c, chi, assigned)
+		feasible = feasible && !(sum[c] > ci.cons[c].budget+chiEps)
 	}
-	// The search is exact while the node budget lasts; beyond it the
-	// incumbent (at worst the greedy solution) is returned. This keeps
-	// the scheduler's worst case polynomial while giving true optima on
-	// paper-scale instances.
-	const nodeBudget = 300000
-	nodes := 0
+	// The search is exact while chiNodeBudget lasts; beyond it the
+	// incumbent (at worst the greedy solution) is returned.
+	nodes := 1
 	var rec func(i int, committed int64)
 	rec = func(i int, committed int64) {
-		nodes++
-		if nodes > nodeBudget {
-			return
-		}
-		if bestCost >= 0 && committed+minRemCost[i] >= bestCost {
-			return
-		}
 		if i == len(order) {
-			if ci.violated(chi) >= 0 {
-				return
-			}
 			bestCost = committed
 			copy(best, chi)
 			return
 		}
-		// Feasibility prune: optimistic deficit per constraint, with
-		// unassigned floods at MaxNTX.
-		for _, c := range ci.cons {
-			sum := 0.0
-			for _, fl := range c.floods {
-				if assigned[fl] {
-					sum += ci.def[fl][chi[fl]-1]
-				} else {
-					sum += ci.def[fl][ci.upper-1]
+		f := order[i]
+		cs, base := adj[adjAt[f]:adjAt[f+1]], saved[adjAt[f]:adjAt[f+1]]
+		for j, c := range cs {
+			base[j] = sum[c]
+		}
+		assigned[f] = true
+		lv := lvs[lvAt[i]:lvAt[i+1]]
+	sibling:
+		for k, v := range lv {
+			nodes++
+			next := committed + ci.cost[f][v-1]
+			if nodes > chiNodeBudget || (bestCost >= 0 && next+minRemCost[i+1] >= bestCost) {
+				// Levels ascend in cost, so every later sibling is cut
+				// the same way, one node each.
+				nodes += len(lv) - k - 1
+				break
+			}
+			chi[f] = v
+			d := ci.def[f][v-1] - ci.def[f][ci.upper-1]
+			for j, c := range cs {
+				s, thr := base[j]+d, ci.cons[c].budget+chiEps
+				sum[c] = s
+				if math.Abs(s-thr) <= chiResumTol*(1+math.Abs(thr)) {
+					s = ci.optimisticSum(c, chi, assigned)
+				}
+				if s > thr {
+					continue sibling
 				}
 			}
-			if sum > c.budget+chiEps {
-				return
-			}
+			rec(i+1, next)
 		}
-		f := order[i]
-		assigned[f] = true
-		for _, v := range levels[f] {
-			chi[f] = v
-			rec(i+1, committed+ci.cost[f][v-1])
+		for j, c := range cs {
+			sum[c] = base[j]
 		}
 		chi[f] = ci.lower[f]
 		assigned[f] = false
 	}
-	rec(0, pinnedCost)
-	if bestCost < 0 {
-		return nil, fmt.Errorf("%w: exact χ search found no assignment", ErrUnsat)
+	if feasible && (bestCost < 0 || pinnedCost+minRemCost[0] < bestCost) {
+		rec(0, pinnedCost)
 	}
-	return best, nil
+	if bestCost < 0 {
+		return nil, nodes, fmt.Errorf("%w: exact χ search found no assignment", ErrUnsat)
+	}
+	return best, nodes, nil
+}
+
+// optimisticSum is constraint c's deficit sum in flood-list order with
+// unassigned floods at MaxNTX, the bound of solveExact's feasibility
+// prune.
+func (ci *chiInstance) optimisticSum(c int, chi []int, assigned []bool) float64 {
+	s := 0.0
+	for _, f := range ci.cons[c].floods {
+		if assigned[f] {
+			s += ci.def[f][chi[f]-1]
+		} else {
+			s += ci.def[f][ci.upper-1]
+		}
+	}
+	return s
 }

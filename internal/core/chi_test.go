@@ -37,7 +37,7 @@ func TestChiExactFindsMinimum(t *testing.T) {
 	// 8,4,2,1. Options: (2,2): 4+4=8 > 6; (3,2): 2+4=6 OK cost 300+200;
 	// (2,3): same by symmetry. Exact must find cost 500.
 	ci := mkChi(2, 4, 6, [][]int{{0, 1}})
-	chi, err := ci.solveExact()
+	chi, _, err := ci.solveExact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestChiExactNeverWorseThanGreedy(t *testing.T) {
 			tasks = append(tasks, fl)
 		}
 		ci := mkChi(n, 5, 4+rng.Float64()*8, tasks)
-		exact, errE := ci.solveExact()
+		exact, _, errE := ci.solveExact()
 		greedy, errG := ci.solveGreedy()
 		if errE != nil {
 			if errG == nil {
@@ -99,7 +99,7 @@ func TestChiExactNeverWorseThanGreedy(t *testing.T) {
 func TestChiInfeasibleDetected(t *testing.T) {
 	// Budget below the deficit floor at max level (deficit 1 per flood).
 	ci := mkChi(3, 4, 0.5, [][]int{{0, 1, 2}})
-	if _, err := ci.solve(false); !errors.Is(err, ErrUnsat) {
+	if _, _, err := ci.solve(false); !errors.Is(err, ErrUnsat) {
 		t.Errorf("infeasible instance: %v, want ErrUnsat", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestChiInfeasibleDetected(t *testing.T) {
 func TestChiRespectsLowerBounds(t *testing.T) {
 	ci := mkChi(2, 4, 100, nil) // no constraints: lower bounds dominate
 	ci.lower[1] = 3
-	chi, err := ci.solve(false)
+	chi, _, err := ci.solve(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestChiRespectsLowerBounds(t *testing.T) {
 func TestChiLowerBoundAboveUpperIsUnsat(t *testing.T) {
 	ci := mkChi(1, 3, 100, nil)
 	ci.lower[0] = 4
-	if _, err := ci.solve(false); !errors.Is(err, ErrUnsat) {
+	if _, _, err := ci.solve(false); !errors.Is(err, ErrUnsat) {
 		t.Errorf("lower > upper: %v, want ErrUnsat", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestChiSharedFloodSavesCost(t *testing.T) {
 	// both more cheaply than raising the private floods. Exact search
 	// must exploit this.
 	ci := mkChi(3, 6, 9, [][]int{{0, 1}, {1, 2}})
-	chi, err := ci.solveExact()
+	chi, _, err := ci.solveExact()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,8 +411,9 @@ func (s *search) runSequential() (*candidate, int, *searchErr) {
 // its beacons in different positions, letting the solver pick different
 // χ vectors for instances that are identical as sets. With the
 // canonical order the orbit's χ instances are literally identical, so
-// the solved vector is too — the fact dominatedAssignment and the
-// per-orbit χ memo rely on.
+// the solved vector is too — the fact dominatedAssignment relies on. It
+// also makes the flood lists a canonical key of the χ instance memo
+// (chiMemo.solveOnce), so equal instances always share an entry.
 func predFloods(msgs []dag.MsgID, assign []int, nMsgs int) []int {
 	floods := make([]int, len(msgs), 2*len(msgs))
 	for i, m := range msgs {
@@ -475,36 +476,6 @@ func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound
 		}
 	}
 	nFloods := nMsgs + rounds
-
-	// Per-orbit χ memo: with canonical predFloods ordering, every member
-	// of an interchange orbit builds the literally identical χ instance
-	// (see symmetry.go), so the solved vector — or the solve's error — is
-	// a pure function of the orbit. The orbit is keyed by the canonical
-	// assignment; a non-representative member that finds the entry skips
-	// the χ search entirely, which is the dominant per-assignment cost on
-	// multi-rate instances. The sequential search always hits (the
-	// representative enumerates earlier and the admissibility bound is
-	// orbit-invariant, so it was solved first); a parallel worker that
-	// races ahead of the representative just misses and solves the same
-	// instance itself — identical results either way.
-	var memoKey string
-	if p.chiMemo != nil {
-		if key, rep, ok := p.canonicalAssignKey(assign); ok {
-			memoKey = key
-			if !rep {
-				if v, hit := p.chiMemo.Load(key); hit {
-					ent := v.(chiMemoEntry)
-					if ent.err != nil {
-						return nil, ent.err
-					}
-					if p.dominatedAssignment(assign, ent.chi) {
-						return nil, errDominated
-					}
-					return p.place(ctx, assign, ent.chi, rounds, bound)
-				}
-			}
-		}
-	}
 
 	// Per-flood tables alias the normalize-time caches: the deficit
 	// column is flood-independent and the cost column depends only on
@@ -596,19 +567,18 @@ func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound
 		}
 	}
 
-	chi, err := ci.solve(p.GreedyChi)
-	if memoKey != "" {
-		p.chiMemo.LoadOrStore(memoKey, chiMemoEntry{chi: chi, err: err})
+	ent := p.chiMemo.solveOnce(ci, p.GreedyChi)
+	if ent.err != nil {
+		return nil, ent.err
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	if len(p.iclasses) > 0 && p.dominatedAssignment(assign, chi) {
+	if len(p.iclasses) > 0 && p.dominatedAssignment(assign, ent.chi) {
 		return nil, errDominated
 	}
-
-	return p.place(ctx, assign, chi, rounds, bound)
+	sched, err := p.place(ctx, assign, ent.chi, rounds, bound)
+	if err == nil {
+		sched.ChiExact = ent.exact
+	}
+	return sched, err
 }
 
 // minNTXForWindow returns the smallest n with λ_WH(n).Window >= w.

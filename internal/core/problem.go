@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/netdag/netdag/internal/dag"
 	"github.com/netdag/netdag/internal/glossy"
@@ -165,9 +164,10 @@ type Problem struct {
 	InstanceChains [][]dag.TaskID
 
 	// NoSymmetry disables interchange-class dominance skipping in the
-	// outer enumeration (the ablation knob of the multi-rate benchmarks).
-	// Results are identical either way — the skip is exact — so the knob
-	// only changes how much work the search does.
+	// outer enumeration and the per-solve χ instance memo (the ablation
+	// knob of the multi-rate benchmarks). Results are identical either
+	// way — skip and memo are exact — so the knob only changes how much
+	// work the search does.
 	NoSymmetry bool
 
 	// NoChiFloors disables the weakly-hard per-flood window floors in
@@ -196,17 +196,15 @@ type Problem struct {
 	// interchangeClasses.
 	iclasses [][][]dag.MsgID
 
-	// chiMemo caches the solved χ vector (or solve error) per interchange
-	// orbit, keyed by the canonicalized round assignment (see
-	// canonicalAssignKey). With canonical predFloods ordering every orbit
-	// member builds the literally identical χ instance, so the cache is a
-	// pure-function memo: a non-representative assignment skips the χ
-	// search — the dominant cost on multi-rate instances — and goes
-	// straight to the dominance check and placement with the
-	// representative's vector. A pointer (not an embedded sync.Map) so
-	// shallow Problem copies in tests do not copy the lock. Reset by
-	// normalize, nil when symmetry is off.
-	chiMemo *sync.Map
+	// chiMemo caches the solved χ vector (or solve error) of every
+	// distinct χ instance a solve builds. An instance depends on the
+	// round assignment only through which beacons each constrained task
+	// sees, so many assignments share one: the sequential search solves
+	// each once, and every repeat skips the χ search — the dominant
+	// per-assignment cost. predFloods' canonical ordering makes the
+	// instances of an interchange orbit literally identical, so they
+	// share an entry too. Reset by normalize, nil when NoSymmetry is set.
+	chiMemo *chiMemo
 
 	// Search caches computed by normalize, shared read-only by every
 	// per-assignment χ instance and by the outer search's admissibility
@@ -339,10 +337,9 @@ func (p *Problem) normalize() error {
 	} else {
 		p.iclasses = nil
 	}
-	if len(p.iclasses) > 0 {
-		p.chiMemo = &sync.Map{}
-	} else {
-		p.chiMemo = nil
+	p.chiMemo = nil
+	if !p.NoSymmetry {
+		p.chiMemo = &chiMemo{m: make(map[string]chiMemoEntry)}
 	}
 	switch p.Mode {
 	case Soft:

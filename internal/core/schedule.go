@@ -45,6 +45,14 @@ type Schedule struct {
 	Makespan int64
 	Optimal  bool  // the timing search proved makespan optimality for this (χ, l)
 	BusTime  int64 // total time reserved for communication
+	// ChiExact reports that χ is proven optimal for l: the χ search
+	// minimized the objective's reservation cost (bus time, or radio
+	// charge under ObjectiveEnergy) to completion. It is false when that
+	// search stopped at its node budget, or the greedy χ optimizer ran
+	// (GreedyChi, or more constrained floods than the exact search
+	// takes). It qualifies the schedule as Optimal does for placement,
+	// but stays out of the exported and hashed forms.
+	ChiExact bool
 	// EnergyPC is the per-node radio charge of one schedule execution in
 	// picocoulombs under the problem's EnergyParams: every flood's
 	// on-time charge plus sleep leakage over the rest of the makespan.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,8 +41,9 @@ import (
 // canonical order (messages by MsgID, then beacons by round) independent
 // of which member carries which round. Identical instances mean the χ
 // solver — whose tie-breaking depends on flood-list positions — returns
-// the same vector for both, which is also what lets scheduleForAssignment
-// memoize one solved χ vector per orbit (Problem.chiMemo). The placement instances are isomorphic under
+// the same vector for both, and they share one entry of the per-solve χ
+// instance memo (Problem.chiMemo), which is keyed by the flood lists
+// themselves. The placement instances are isomorphic under
 // relabeling the chains *only if* the solved χ values coincide per phase
 // across members (otherwise the images put different slot durations into
 // the rounds); the skip therefore verifies per-phase χ equality at
@@ -255,78 +255,6 @@ func orderingConsistent(members [][]dag.MsgID) bool {
 // tie the solver broke asymmetrically never triggers a skip: those
 // images put different slot durations into the rounds and must be
 // explored.
-// chiMemoEntry is one record of the per-orbit χ memo: the solved vector
-// — or the solve's error — of the orbit's shared χ instance. Exactly one
-// of chi/err is set. Entries are immutable after store; place only reads
-// chi, so sharing the slice across the orbit's assignments is safe.
-type chiMemoEntry struct {
-	chi []int
-	err error
-}
-
-// canonicalAssignKey renders the orbit-canonical form of a round
-// assignment as a memo key: per interchange class, the member round
-// vectors sorted lexicographically ascending — exactly the arrangement
-// of the orbit's earliest-enumerated representative (members are in
-// ascending MsgID-tuple order and the representative pairs ascending
-// vectors with ascending tuples). Positions outside the classes are
-// untouched, so two assignments share a key iff they are in the same
-// interchange orbit. rep reports whether assign already is its own
-// representative (every class ascending). ok is false when the
-// assignment cannot be keyed compactly — a round index above 255, which
-// no realistic round budget reaches; the memo then just stays cold.
-func (p *Problem) canonicalAssignKey(assign []int) (key string, rep, ok bool) {
-	buf := make([]byte, len(assign))
-	for i, r := range assign {
-		if r < 0 || r > 255 {
-			return "", false, false
-		}
-		buf[i] = byte(r)
-	}
-	rep = true
-	for _, cls := range p.iclasses {
-		sorted := true
-		for i := 1; i < len(cls); i++ {
-			if memberVecGreater(buf, cls[i-1], cls[i]) {
-				sorted = false
-				break
-			}
-		}
-		if sorted {
-			// Adjacent-pair ≤ implies the whole class is sorted
-			// (lexicographic comparison is a total order).
-			continue
-		}
-		rep = false
-		vecs := make([][]byte, len(cls))
-		for i, mem := range cls {
-			v := make([]byte, len(mem))
-			for k, m := range mem {
-				v[k] = buf[m]
-			}
-			vecs[i] = v
-		}
-		sort.Slice(vecs, func(i, j int) bool { return bytes.Compare(vecs[i], vecs[j]) < 0 })
-		for i, mem := range cls {
-			for k, m := range mem {
-				buf[m] = vecs[i][k]
-			}
-		}
-	}
-	return string(buf), rep, true
-}
-
-// memberVecGreater compares two members' round vectors under buf
-// lexicographically: true iff a's vector is strictly greater than b's.
-func memberVecGreater(buf []byte, a, b []dag.MsgID) bool {
-	for k := range a {
-		if buf[a[k]] != buf[b[k]] {
-			return buf[a[k]] > buf[b[k]]
-		}
-	}
-	return false
-}
-
 func (p *Problem) dominatedAssignment(assign []int, chi []int) bool {
 	for _, cls := range p.iclasses {
 		descends := false
