@@ -259,8 +259,8 @@ func certify(p *core.Problem, s *core.Schedule, seed int64, reps, runs, workers 
 
 // genScenario draws one random scenario. Sizes are capped so a solve
 // stays in the tens-of-milliseconds range: the corpus is a breadth
-// regression suite, not a stress benchmark (scripts/bench_pr9.sh covers
-// depth).
+// regression suite, not a stress benchmark (the av-heavy tests and
+// benchmarks in internal/core cover depth).
 func genScenario(rng *rand.Rand) (*spec.File, string) {
 	shape := shapes[rng.Intn(len(shapes))]
 	f := &spec.File{

@@ -9,7 +9,6 @@
 //	             [-workers 0] [-deadline 0] [-max-deadline 0] [-drain 10s]
 //	             [-sessions 8] [-session-deadline 2s] [-session-attempts 3]
 //	             [-journal cache.journal]
-//	             [-peer-name a -peers a=http://h1:8080,b=http://h2:8080]
 //
 // Endpoints:
 //
@@ -41,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/netdag/netdag/internal/cluster"
 	"github.com/netdag/netdag/internal/serve"
 )
 
@@ -60,29 +58,11 @@ func main() {
 	sessAttempts := flag.Int("session-attempts", 0, "re-solve attempts before a session degrades (0 = library default)")
 	retrySeed := flag.Int64("retry-seed", 0, "jitter seed for 429 Retry-After hints and session re-solve retries (0 = deterministic envelope)")
 	journalPath := flag.String("journal", "", "persistent cache journal file (empty = in-memory cache only)")
-	peerName := flag.String("peer-name", "", "this instance's name on the cluster ring")
-	peerList := flag.String("peers", "", "cluster membership as name=baseURL,name=baseURL,... (must include -peer-name)")
-	ringReplicas := flag.Int("ring-replicas", cluster.DefaultReplicas, "virtual nodes per peer on the hash ring")
-	warm := flag.Bool("warm", true, "warm-start cache misses from structurally identical cached schedules")
 	batchItems := flag.Int("batch-items", 256, "max specs per /v1/solve-batch request")
 	batchBytes := flag.Int64("batch-bytes", 16<<20, "batch request body limit (bytes)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-
-	var clusterCfg cluster.Config
-	if *peerList != "" || *peerName != "" {
-		peers, err := cluster.ParsePeers(*peerList)
-		if err != nil {
-			logger.Error("invalid -peers", "err", err)
-			os.Exit(2)
-		}
-		clusterCfg = cluster.Config{Self: *peerName, Peers: peers, Replicas: *ringReplicas}
-		if err := clusterCfg.Validate(); err != nil {
-			logger.Error("invalid cluster flags", "err", err)
-			os.Exit(2)
-		}
-	}
 
 	// baseCtx is the solves' lifetime: it outlives the signal context by
 	// the drain budget so in-flight requests can finish, then cancels,
@@ -91,23 +71,21 @@ func main() {
 	defer cancelSolves()
 
 	srv := serve.New(serve.Config{
-		CacheEntries:     *cacheEntries,
-		MaxConcurrent:    *maxSolves,
-		QueueDepth:       *queueDepth,
-		SolveWorkers:     *workers,
-		DefaultDeadline:  *defDeadline,
-		MaxDeadline:      *maxDeadline,
-		MaxBodyBytes:     *maxBody,
-		MaxSessions:      *maxSessions,
-		SessionDeadline:  *sessDeadline,
-		SessionAttempts:  *sessAttempts,
-		RetrySeed:        *retrySeed,
-		Cluster:          clusterCfg,
-		DisableWarmStart: !*warm,
-		MaxBatchItems:    *batchItems,
-		MaxBatchBytes:    *batchBytes,
-		Logger:           logger,
-		BaseContext:      baseCtx,
+		CacheEntries:    *cacheEntries,
+		MaxConcurrent:   *maxSolves,
+		QueueDepth:      *queueDepth,
+		SolveWorkers:    *workers,
+		DefaultDeadline: *defDeadline,
+		MaxDeadline:     *maxDeadline,
+		MaxBodyBytes:    *maxBody,
+		MaxSessions:     *maxSessions,
+		SessionDeadline: *sessDeadline,
+		SessionAttempts: *sessAttempts,
+		RetrySeed:       *retrySeed,
+		MaxBatchItems:   *batchItems,
+		MaxBatchBytes:   *batchBytes,
+		Logger:          logger,
+		BaseContext:     baseCtx,
 	})
 
 	if *journalPath != "" {

@@ -38,14 +38,13 @@ import (
 	"sync"
 )
 
-// Record is one journaled cache entry: the canonical spec fingerprint,
-// the structural fingerprint (warm-start index), the schedule's
-// makespan (the warm hint), and the cached response body verbatim.
+// Record is one journaled cache entry: the canonical spec fingerprint
+// and the cached response body verbatim. Replay ignores fields it does
+// not know, so journals written by earlier versions, whose records carry
+// two more fields, replay unchanged.
 type Record struct {
-	Key        string          `json:"key"`
-	Struct     string          `json:"struct,omitempty"`
-	MakespanUS int64           `json:"makespanUS,omitempty"`
-	Body       json.RawMessage `json:"body"`
+	Key  string          `json:"key"`
+	Body json.RawMessage `json:"body"`
 }
 
 // Stats summarizes one replay pass.

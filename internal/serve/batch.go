@@ -34,10 +34,8 @@ type BatchItem struct {
 	Index       int             `json:"index"`
 	Fingerprint string          `json:"fingerprint,omitempty"`
 	Status      int             `json:"status"`
-	Cache       string          `json:"cache,omitempty"` // hit | miss | coalesced | remote | dedup
+	Cache       string          `json:"cache,omitempty"` // hit | miss | coalesced | dedup
 	Incomplete  bool            `json:"incomplete,omitempty"`
-	WarmUS      int64           `json:"warmUS,omitempty"` // warm-start hint the solve was seeded with
-	Peer        string          `json:"peer,omitempty"`   // owning peer, when served remotely
 	Schedule    json.RawMessage `json:"schedule,omitempty"`
 	Error       string          `json:"error,omitempty"`
 }
@@ -87,7 +85,6 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.batchRequests.Add(1)
 	s.metrics.batchItems.Add(int64(len(req.Specs)))
-	forwardable := r.Header.Get(forwardedHeader) == ""
 
 	out := BatchResponse{Items: make([]BatchItem, len(req.Specs))}
 	// Dedup pass: parse and fingerprint every item; the first item of
@@ -138,13 +135,11 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(l *lead) {
 			defer wg.Done()
-			res, cacheState := s.solveOne(r.Context(), l.f, l.key, start, deadline, forwardable)
+			res, cacheState := s.solveOne(r.Context(), l.f, l.key, start, deadline)
 			item := BatchItem{
 				Status:     res.status,
 				Cache:      cacheState,
 				Incomplete: res.incomplete,
-				WarmUS:     res.warm,
-				Peer:       res.peer,
 			}
 			if res.status == 0 { // client gone; body will never be read
 				item.Status = http.StatusGatewayTimeout

@@ -15,35 +15,23 @@ import (
 // Entries are only ever complete, proven solves — deadline-interrupted
 // incumbents are never cached (see handleSolve) — so a hit is always as
 // good as re-solving.
-//
-// Alongside the exact index the cache maintains a structural index:
-// entries sharing a spec.StructuralFingerprint (same DAG shape, free
-// weights/periods) are linked in put order, so a miss can warm-start
-// its solve from the makespan of the nearest — most recently cached —
-// structural twin (warmHint). The index never serves bodies; it only
-// seeds core.Problem.WarmMakespan, which is sound under any hint.
 type lruCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	byStruct map[string]*list.List // structural fingerprint → entries, front = newest put
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
-	key       string
-	structKey string
-	makespan  int64
-	body      []byte
-	structEl  *list.Element // this entry's node in byStruct[structKey]; nil if unindexed
+	key  string
+	body []byte
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
-		byStruct: make(map[string]*list.List),
+		cap:   capacity,
+		ll:    list.New(),
+		items: make(map[string]*list.Element, capacity),
 	}
 }
 
@@ -60,64 +48,22 @@ func (c *lruCache) get(key string) ([]byte, bool) {
 }
 
 // put installs body under key, evicting the least recently used entry
-// when over capacity. Re-putting an existing key refreshes its body,
-// warm metadata and recency. structKey may be empty (entry stays out
-// of the warm index); makespan is the warm hint structural twins will
-// be seeded with.
-func (c *lruCache) put(key, structKey string, makespan int64, body []byte) {
+// when over capacity. Re-putting an existing key refreshes its body and
+// recency.
+func (c *lruCache) put(key string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.body = body
-		e.makespan = makespan
-		if e.structKey != structKey {
-			c.structRemove(e)
-			e.structKey = structKey
-			c.structAdd(e)
-		} else if e.structEl != nil {
-			c.byStruct[e.structKey].MoveToFront(e.structEl)
-		}
+		el.Value.(*cacheEntry).body = body
 		return
 	}
-	e := &cacheEntry{key: key, structKey: structKey, makespan: makespan, body: body}
-	c.items[key] = c.ll.PushFront(e)
-	c.structAdd(e)
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		ev := oldest.Value.(*cacheEntry)
-		c.structRemove(ev)
-		delete(c.items, ev.key)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// warmHint returns the largest makespan among cached entries sharing
-// structKey, excluding the (missing) key itself. The maximum — not the
-// most recent — because WarmMakespan is a virtual incumbent: a hint at
-// or above the new optimum prunes and costs nothing, while a hint
-// below it excludes every assignment and forces core to redo the whole
-// search cold, which is strictly worse than no hint. Across weight
-// variants of one shape, the class maximum is the estimate least
-// likely to undershoot. Callers add headroom on top (see runFlight).
-func (c *lruCache) warmHint(structKey, excludeKey string) (int64, bool) {
-	if structKey == "" {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ll, ok := c.byStruct[structKey]
-	if !ok {
-		return 0, false
-	}
-	var best int64
-	for el := ll.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.key != excludeKey && e.makespan > best {
-			best = e.makespan
-		}
-	}
-	return best, best > 0
 }
 
 // snapshot renders the live cache as journal records, oldest first, so
@@ -129,9 +75,7 @@ func (c *lruCache) snapshot() []journal.Record {
 	recs := make([]journal.Record, 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		recs = append(recs, journal.Record{
-			Key: e.key, Struct: e.structKey, MakespanUS: e.makespan, Body: e.body,
-		})
+		recs = append(recs, journal.Record{Key: e.key, Body: e.body})
 	}
 	return recs
 }
@@ -141,33 +85,4 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// structAdd links e at the front of its structural class (newest
-// first). Caller holds c.mu.
-func (c *lruCache) structAdd(e *cacheEntry) {
-	if e.structKey == "" {
-		e.structEl = nil
-		return
-	}
-	ll, ok := c.byStruct[e.structKey]
-	if !ok {
-		ll = list.New()
-		c.byStruct[e.structKey] = ll
-	}
-	e.structEl = ll.PushFront(e)
-}
-
-// structRemove unlinks e from its structural class, dropping the class
-// when it empties. Caller holds c.mu.
-func (c *lruCache) structRemove(e *cacheEntry) {
-	if e.structEl == nil {
-		return
-	}
-	ll := c.byStruct[e.structKey]
-	ll.Remove(e.structEl)
-	e.structEl = nil
-	if ll.Len() == 0 {
-		delete(c.byStruct, e.structKey)
-	}
 }

@@ -58,7 +58,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 				key := op[4:]
 				switch op[:4] {
 				case "put:":
-					c.put(key, "", 0, []byte(key))
+					c.put(key, []byte(key))
 				case "get:":
 					c.get(key)
 				}

@@ -6,9 +6,9 @@ import (
 
 // AttachJournal gives the solution cache a persistent tier: the
 // append-only checksummed journal at path is replayed into the cache
-// (so a restarted instance serves its corpus — including the
-// warm-start index — without re-solving it), compacted down to the
-// live entries, and then kept appended with every complete solve.
+// (so a restarted instance serves its corpus without re-solving it),
+// compacted down to the live entries, and then kept appended with
+// every complete solve.
 //
 // Call before serving traffic: the journal pointer is read without
 // synchronization on the solve path. Replay applies the cache's own
@@ -20,7 +20,7 @@ import (
 // netdag_journal_* metrics.
 func (s *Server) AttachJournal(path string) (journal.Stats, error) {
 	j, stats, err := journal.OpenReplay(path, func(rec journal.Record) {
-		s.cache.put(rec.Key, rec.Struct, rec.MakespanUS, []byte(rec.Body))
+		s.cache.put(rec.Key, []byte(rec.Body))
 	})
 	if err != nil {
 		return stats, err

@@ -33,11 +33,6 @@ type metrics struct {
 	batchItems    atomic.Int64 // items across accepted batches
 	batchDeduped  atomic.Int64 // items answered by another item's solve
 
-	forwarded     atomic.Int64 // solves relayed to their owning peer
-	forwardFailed atomic.Int64 // forwards that fell back to a local solve
-
-	warmSeeded atomic.Int64 // solves seeded with a structural-twin warm bound
-
 	journalReplayed  atomic.Int64 // records restored from the journal at startup
 	journalSkipped   atomic.Int64 // corrupt journal records dropped during replay
 	journalTruncated atomic.Int64 // torn journal tails healed at startup
@@ -113,9 +108,6 @@ func (m *metrics) writeProm(w io.Writer, cacheLen int, sess sessionAgg) {
 	counter("netdag_batch_requests_total", "Batch solve envelopes accepted.", m.batchRequests.Load())
 	counter("netdag_batch_items_total", "Items across accepted batch requests.", m.batchItems.Load())
 	counter("netdag_batch_deduped_total", "Batch items deduplicated onto another item's solve.", m.batchDeduped.Load())
-	counter("netdag_cluster_forwarded_total", "Solves forwarded to their owning peer.", m.forwarded.Load())
-	counter("netdag_cluster_forward_failed_total", "Forwards that fell back to a local solve.", m.forwardFailed.Load())
-	counter("netdag_warm_seeded_total", "Solves warm-started from a structurally identical cached schedule.", m.warmSeeded.Load())
 	counter("netdag_journal_replayed_total", "Cache entries restored from the journal at startup.", m.journalReplayed.Load())
 	counter("netdag_journal_skipped_total", "Corrupt journal records dropped during replay.", m.journalSkipped.Load())
 	counter("netdag_journal_truncated_total", "Torn journal tails healed at startup.", m.journalTruncated.Load())

@@ -1,37 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"github.com/netdag/netdag/internal/core"
 	"github.com/netdag/netdag/internal/journal"
+	"github.com/netdag/netdag/internal/spec"
 )
-
-// variantSpec is pipelineSpec's DAG with free task weights: any two
-// variants share a StructuralFingerprint but (almost surely) not a
-// Fingerprint.
-func variantSpec(sense, ctrl, act int) string {
-	return fmt.Sprintf(`{
-  "mode": "weakly-hard",
-  "diameter": 3,
-  "tasks": [
-    {"name": "sense", "node": "n0", "wcet": %d},
-    {"name": "ctrl",  "node": "n1", "wcet": %d},
-    {"name": "act",   "node": "n2", "wcet": %d}
-  ],
-  "edges": [
-    {"from": "sense", "to": "ctrl", "width": 8},
-    {"from": "ctrl",  "to": "act",  "width": 4}
-  ],
-  "whStatistic": {"type": "synthetic"},
-  "whConstraints": {"act": {"misses": 10, "window": 40}}
-}`, sense, ctrl, act)
-}
 
 // TestJournalRestoreServesByteIdentical: a restarted instance replays
 // its journal and serves the previous process's schedules as cache
@@ -81,38 +65,6 @@ func TestJournalRestoreServesByteIdentical(t *testing.T) {
 	}
 	if s2.metrics.cacheMisses.Load() != 0 {
 		t.Error("restart re-solved journaled specs")
-	}
-	s2.CloseJournal()
-}
-
-// TestJournalRestoreRebuildsWarmIndex: replay restores not just bodies
-// but the structural warm index — the first miss after a restart is
-// warm-started from a pre-restart structural twin.
-func TestJournalRestoreRebuildsWarmIndex(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.journal")
-
-	s1 := New(Config{})
-	if _, err := s1.AttachJournal(path); err != nil {
-		t.Fatal(err)
-	}
-	if r := postSolve(t, s1, variantSpec(500, 2000, 300), ""); r.Code != http.StatusOK {
-		t.Fatalf("prime solve: status %d", r.Code)
-	}
-	s1.CloseJournal()
-
-	s2 := New(Config{})
-	if _, err := s2.AttachJournal(path); err != nil {
-		t.Fatal(err)
-	}
-	r := postSolve(t, s2, variantSpec(600, 1900, 350), "")
-	if r.Code != http.StatusOK {
-		t.Fatalf("variant solve: status %d, body %s", r.Code, r.Body)
-	}
-	if r.Header().Get(warmHeader) == "" {
-		t.Error("post-restart variant was not warm-started from the replayed twin")
-	}
-	if s2.metrics.warmSeeded.Load() != 1 {
-		t.Errorf("warmSeeded = %d, want 1", s2.metrics.warmSeeded.Load())
 	}
 	s2.CloseJournal()
 }
@@ -206,83 +158,124 @@ func TestJournalCorruptionSurvivesThroughServe(t *testing.T) {
 	s2.CloseJournal()
 }
 
-// TestWarmStartSeedsSolver: the second solve of a structural shape is
-// seeded with the first's makespan — observed both in the Problem
-// handed to the solver and in the response's warm header.
-func TestWarmStartSeedsSolver(t *testing.T) {
-	var seeds []int64
-	s := New(Config{
-		SolveFn: func(ctx context.Context, p *core.Problem) (*core.Schedule, error) {
-			seeds = append(seeds, p.WarmMakespan)
-			return core.SolveContext(ctx, p)
-		},
-	})
-	r1 := postSolve(t, s, variantSpec(500, 2000, 300), "")
-	if r1.Code != http.StatusOK {
-		t.Fatalf("prime: status %d", r1.Code)
+// journalFrame frames one record payload the way package journal does:
+// little-endian length, little-endian CRC32 (IEEE), payload.
+func journalFrame(payload []byte) []byte {
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	copy(frame[8:], payload)
+	return frame
+}
+
+// journalFieldSets returns, per record in the journal at path, its JSON
+// field names in sorted order.
+func journalFieldSets(t *testing.T, path string) [][]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r1.Header().Get(warmHeader) != "" {
-		t.Error("first solve of a shape claims a warm seed")
+	var sets [][]string
+	for len(raw) > 0 {
+		if len(raw) < 8 {
+			t.Fatalf("torn journal header: %d bytes left", len(raw))
+		}
+		n := int(binary.LittleEndian.Uint32(raw[0:4]))
+		if len(raw) < 8+n {
+			t.Fatalf("torn journal payload: %d of %d bytes", len(raw)-8, n)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw[8:8+n], &fields); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for name := range fields {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		sets = append(sets, names)
+		raw = raw[8+n:]
 	}
-	r2 := postSolve(t, s, variantSpec(450, 2100, 320), "")
-	if r2.Code != http.StatusOK {
-		t.Fatalf("variant: status %d", r2.Code)
+	return sets
+}
+
+// TestJournalReplaysRecordsWithRetiredFields: records written by
+// earlier versions carry two more fields, "struct" and "makespanUS",
+// which fed a structural warm-start index. Such a journal replays as it
+// is and serves byte-identical hits, and every record the server writes
+// from then on carries only the key and the body.
+func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
+	ref := New(Config{})
+	var old bytes.Buffer
+	bodies := map[int]string{}
+	for _, d := range []int{3, 4, 5} {
+		r := postSolve(t, ref, pipelineSpec(d), "")
+		if r.Code != http.StatusOK {
+			t.Fatalf("diameter %d: status %d", d, r.Code)
+		}
+		bodies[d] = r.Body.String()
+		var out spec.ScheduleOut
+		if err := json.Unmarshal(r.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(map[string]any{
+			"key":        r.Header().Get(fingerprintHdr),
+			"struct":     "5d41402abc4b2a76b9719d911017c5925d41402abc4b2a76b9719d911017c592",
+			"makespanUS": out.MakespanUS,
+			"body":       json.RawMessage(r.Body.Bytes()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Write(journalFrame(payload))
 	}
-	if r2.Header().Get(warmHeader) == "" {
-		t.Error("structural twin was not warm-started")
+	path := filepath.Join(t.TempDir(), "cache.journal")
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(seeds) != 2 || seeds[0] != 0 || seeds[1] <= 0 {
-		t.Fatalf("solver saw WarmMakespan seeds %v, want [0, >0]", seeds)
+
+	s := New(Config{})
+	stats, err := s.AttachJournal(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.metrics.warmSeeded.Load() != 1 {
-		t.Errorf("warmSeeded = %d, want 1", s.metrics.warmSeeded.Load())
+	if stats.Replayed != 3 || stats.Skipped != 0 || stats.Truncated {
+		t.Fatalf("replay stats = %+v, want 3 clean replays", stats)
 	}
-	// A structurally different spec must not inherit the hint.
-	postSolve(t, s, pipelineSpec(4), "")
-	if seeds[2] != 0 {
-		t.Errorf("different shape inherited WarmMakespan %d", seeds[2])
+	for _, d := range []int{3, 4, 5} {
+		r := postSolve(t, s, pipelineSpec(d), "")
+		if got := r.Header().Get(cacheHeader); got != "hit" {
+			t.Errorf("diameter %d: cache header %q, want hit", d, got)
+		}
+		if r.Body.String() != bodies[d] {
+			t.Errorf("diameter %d: replayed body differs from the original solve", d)
+		}
+	}
+	if r := postSolve(t, s, pipelineSpec(6), ""); r.Code != http.StatusOK {
+		t.Fatalf("fresh solve: status %d", r.Code)
+	}
+	if err := s.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Attach compacted the three old records; the fresh solve appended a
+	// fourth. None keeps a retired field.
+	sets := journalFieldSets(t, path)
+	if len(sets) != 4 {
+		t.Fatalf("journal holds %d records, want 4", len(sets))
+	}
+	for i, names := range sets {
+		if len(names) != 2 || names[0] != "body" || names[1] != "key" {
+			t.Errorf("record %d has fields %v, want [body key]", i, names)
+		}
 	}
 }
 
-// TestWarmStartBitIdenticalSchedules: warm-started solves return the
-// exact bytes a cold server produces for the same spec — the hint
-// prunes the search, never the answer.
-func TestWarmStartBitIdenticalSchedules(t *testing.T) {
-	specs := []string{
-		variantSpec(500, 2000, 300),
-		variantSpec(700, 1500, 200),  // cheaper ctrl: optimum below the hint
-		variantSpec(900, 2500, 1200), // heavier everything: optimum above the hint
-		variantSpec(100, 100, 100),
-	}
-	warm := New(Config{})
-	cold := New(Config{DisableWarmStart: true})
-	for i, sp := range specs {
-		rw := postSolve(t, warm, sp, "")
-		rc := postSolve(t, cold, sp, "")
-		if rw.Code != http.StatusOK || rc.Code != http.StatusOK {
-			t.Fatalf("variant %d: warm %d cold %d", i, rw.Code, rc.Code)
-		}
-		if rw.Body.String() != rc.Body.String() {
-			t.Errorf("variant %d: warm-started schedule differs from cold solve", i)
-		}
-		if i > 0 && rw.Header().Get(warmHeader) == "" {
-			t.Errorf("variant %d was not warm-started", i)
-		}
-		if rc.Header().Get(warmHeader) != "" {
-			t.Errorf("variant %d: DisableWarmStart still seeded a hint", i)
-		}
-	}
-	if got := warm.metrics.warmSeeded.Load(); got != int64(len(specs)-1) {
-		t.Errorf("warmSeeded = %d, want %d", got, len(specs)-1)
-	}
-	if cold.metrics.warmSeeded.Load() != 0 {
-		t.Error("cold server counted warm seeds")
-	}
-}
-
-// TestWarmHintNotTakenFromIncompleteResults: deadline-interrupted
-// incumbents are never cached, so they can never seed later solves with
-// an unproven bound.
+// TestWarmHintNotTakenFromIncompleteResults: a deadline-interrupted
+// incumbent is neither cached nor journaled, so no later request (nor a
+// restarted instance) is ever answered from an unproven result. The
+// repeat solves afresh, and only its complete schedule is kept.
 func TestWarmHintNotTakenFromIncompleteResults(t *testing.T) {
 	first := true
 	s := New(Config{
@@ -299,15 +292,39 @@ func TestWarmHintNotTakenFromIncompleteResults(t *testing.T) {
 			return core.SolveContext(ctx, p)
 		},
 	})
-	r1 := postSolve(t, s, variantSpec(500, 2000, 300), "")
+	path := filepath.Join(t.TempDir(), "cache.journal")
+	if _, err := s.AttachJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	r1 := postSolve(t, s, pipelineSpec(3), "")
 	if r1.Code != http.StatusOK || r1.Header().Get(incompleteHeader) == "" {
 		t.Fatalf("prime: status %d incomplete %q", r1.Code, r1.Header().Get(incompleteHeader))
 	}
-	r2 := postSolve(t, s, variantSpec(450, 2100, 320), "")
-	if r2.Header().Get(warmHeader) != "" {
-		t.Error("an unproven incumbent seeded a warm hint")
+	if s.cache.len() != 0 || s.metrics.journalAppended.Load() != 0 {
+		t.Errorf("incumbent kept: %d cached, %d journaled", s.cache.len(), s.metrics.journalAppended.Load())
 	}
-	if s.metrics.warmSeeded.Load() != 0 {
-		t.Error("warmSeeded counted a hint from an uncached incumbent")
+	r2 := postSolve(t, s, pipelineSpec(3), "")
+	if got := r2.Header().Get(cacheHeader); got != "miss" {
+		t.Errorf("repeat after an incomplete solve: cache header %q, want miss", got)
+	}
+	if got := r2.Header().Get(incompleteHeader); got != "" {
+		t.Errorf("repeat marked incomplete %q", got)
+	}
+	var out spec.ScheduleOut
+	if err := json.Unmarshal(r2.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Optimal {
+		t.Error("repeat answered with a non-optimal schedule")
+	}
+	if err := s.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := journal.Replay(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replayed != 1 || s.metrics.journalAppended.Load() != 1 {
+		t.Errorf("journal: %d appended, %d on disk, want only the complete solve", s.metrics.journalAppended.Load(), st.Replayed)
 	}
 }

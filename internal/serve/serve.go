@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"github.com/netdag/netdag/internal/backoff"
-	"github.com/netdag/netdag/internal/cluster"
 	"github.com/netdag/netdag/internal/core"
 	"github.com/netdag/netdag/internal/journal"
 	"github.com/netdag/netdag/internal/session"
@@ -87,19 +86,6 @@ type Config struct {
 	// re-solve retry jitter (0 = no jitter: hints and retry delays are
 	// the deterministic envelope).
 	RetrySeed int64
-	// Cluster shards the cache tier across peers (internal/cluster):
-	// each fingerprint has one owning instance, computed on the
-	// consistent-hash ring; non-owners forward misses a single hop to
-	// the owner and fall back to solving locally when it is down. The
-	// zero value runs unclustered.
-	Cluster cluster.Config
-	// DisableWarmStart turns off near-neighbor warm-starting: by
-	// default a cache miss seeds core.Problem.WarmMakespan from the
-	// most recently cached schedule with the same
-	// spec.StructuralFingerprint (same DAG shape, different
-	// weights/periods), which prunes the new solve without changing
-	// its result.
-	DisableWarmStart bool
 	// MaxBatchItems bounds the specs accepted by one /v1/solve-batch
 	// request (default 256).
 	MaxBatchItems int
@@ -129,10 +115,8 @@ type Server struct {
 	solve    func(ctx context.Context, p *core.Problem) (*core.Schedule, error)
 	mux      *http.ServeMux
 
-	// clust is non-nil when the server participates in a cache-sharding
-	// cluster; journal is non-nil after AttachJournal. Both are wired at
-	// startup, before traffic, and read-only afterwards.
-	clust   *clusterState
+	// journal is non-nil after AttachJournal: wired at startup, before
+	// traffic, and read-only afterwards.
 	journal *journal.Journal
 
 	sessions sessionRegistry
@@ -195,16 +179,6 @@ func New(cfg Config) *Server {
 	}
 	s.sessions.m = make(map[string]*session.Session)
 	s.flights.m = make(map[string]*flight)
-	if cfg.Cluster.Enabled() {
-		if err := cfg.Cluster.Validate(); err != nil {
-			// Refuse to guess at membership: a misconfigured ring routes
-			// keys to the wrong owner on every peer. Run unclustered and
-			// say so.
-			s.log.Error("cluster config rejected; running unclustered", "err", err)
-		} else {
-			s.clust = newClusterState(cfg.Cluster)
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/solve-batch", s.handleSolveBatch)
@@ -265,12 +239,9 @@ func (r *statusRecorder) Flush() {
 
 // Response headers describing how the request was served.
 const (
-	cacheHeader      = "X-Netdag-Cache"      // hit | miss | coalesced | remote
+	cacheHeader      = "X-Netdag-Cache"      // hit | miss | coalesced
 	incompleteHeader = "X-Netdag-Incomplete" // "deadline": body is a non-optimal incumbent
 	fingerprintHdr   = "X-Netdag-Spec"       // the spec's canonical fingerprint
-	forwardedHeader  = "X-Netdag-Forwarded"  // origin peer name; present ⇒ never forward again
-	peerHeader       = "X-Netdag-Peer"       // owning peer that served a forwarded request
-	warmHeader       = "X-Netdag-Warm"       // WarmMakespan hint the solve was seeded with
 )
 
 // solveResult is the outcome of one flight, relayed to the leader and
@@ -280,8 +251,6 @@ type solveResult struct {
 	status     int    // HTTP status to relay
 	body       []byte // JSON payload (ScheduleOut or {"error": ...})
 	incomplete bool   // 200 carrying a deadline-interrupted incumbent
-	warm       int64  // >0: the WarmMakespan hint that seeded the solve
-	peer       string // non-empty: the peer that served this result
 }
 
 // flight is one in-progress solve that concurrent identical requests
@@ -347,8 +316,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, cacheState := s.solveOne(r.Context(), &f, key, start, deadline,
-		r.Header.Get(forwardedHeader) == "")
+	res, cacheState := s.solveOne(r.Context(), &f, key, start, deadline)
 	if res.status == 0 {
 		return // client gone while waiting; nothing to write
 	}
@@ -356,30 +324,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveOne serves one fingerprinted spec through the full read path —
-// local cache, cluster forwarding, coalescing, admission, solve — and
-// is shared by /v1/solve and every /v1/solve-batch item. waitCtx
-// bounds how long a coalesced follower (or a forward) may wait: the
-// originating request's context. forwardable is false for requests
-// that already took their single cluster hop.
-func (s *Server) solveOne(waitCtx context.Context, f *spec.File, key string, start time.Time, deadline time.Duration, forwardable bool) (solveResult, string) {
-	// Hot path: an identical problem was already solved here. Checked
-	// before ownership — the local read-through that keeps previously
-	// owned (or fallback-solved) entries serving after ring changes.
+// cache, coalescing, admission, solve — and is shared by /v1/solve and
+// every /v1/solve-batch item. waitCtx bounds how long a coalesced
+// follower may wait: the originating request's context.
+func (s *Server) solveOne(waitCtx context.Context, f *spec.File, key string, start time.Time, deadline time.Duration) (solveResult, string) {
+	// Hot path: an identical problem was already solved here.
 	if body, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return solveResult{status: http.StatusOK, body: body}, "hit"
-	}
-
-	if forwardable && s.clust != nil {
-		if owner, url, remote := s.clust.ownerOf(key); remote {
-			if res, ok := s.forward(waitCtx, owner, url, f, start, deadline); ok {
-				return res, "remote"
-			}
-			// The owner is unreachable: solve locally rather than fail the
-			// request. The result lands in the local cache (read-through),
-			// so repeated requests during the outage still hit.
-			s.metrics.forwardFailed.Add(1)
-		}
 	}
 
 	fl, leader := s.flights.join(key)
@@ -426,28 +378,6 @@ func (s *Server) runFlight(f *spec.File, key string, start time.Time, deadline t
 	}
 	if s.cfg.SolveWorkers > 0 {
 		p.Workers = s.cfg.SolveWorkers
-	}
-
-	// Warm-start: seed the search from structurally identical cached
-	// schedules (same DAG shape, different weights/periods).
-	// WarmMakespan is a hint, never a constraint — the core redoes the
-	// search cold when the hint excludes every assignment — so the
-	// schedule stays bit-identical to an unhinted solve. The 25%
-	// headroom over the class maximum keeps the hint admissible when
-	// this variant's optimum modestly exceeds every cached twin's;
-	// undershooting costs a full cold redo, overshooting only weakens
-	// pruning.
-	var structKey string
-	var warm int64
-	if !s.cfg.DisableWarmStart {
-		if sk, err := spec.StructuralFingerprint(f); err == nil {
-			structKey = sk
-			if hint, ok := s.cache.warmHint(sk, key); ok {
-				warm = hint + hint/4
-				p.WarmMakespan = warm
-				s.metrics.warmSeeded.Add(1)
-			}
-		}
 	}
 
 	// The solve's context: the server's lifetime (drain interrupts all
@@ -510,11 +440,11 @@ func (s *Server) runFlight(f *spec.File, key string, start time.Time, deadline t
 			// A deadline-interrupted incumbent is feasible but not
 			// proven optimal: serve it, never cache it.
 			s.metrics.incomplete.Add(1)
-			return solveResult{status: http.StatusOK, body: body, incomplete: true, warm: warm}
+			return solveResult{status: http.StatusOK, body: body, incomplete: true}
 		}
-		s.cache.put(key, structKey, out.MakespanUS, body)
-		s.journalAppend(journal.Record{Key: key, Struct: structKey, MakespanUS: out.MakespanUS, Body: body})
-		return solveResult{status: http.StatusOK, body: body, warm: warm}
+		s.cache.put(key, body)
+		s.journalAppend(journal.Record{Key: key, Body: body})
+		return solveResult{status: http.StatusOK, body: body}
 	case canceled:
 		s.metrics.deadlineExpired.Add(1)
 		return errorResult(http.StatusGatewayTimeout, "deadline expired before any schedule was found")
@@ -576,12 +506,6 @@ func (s *Server) relay(w http.ResponseWriter, res solveResult, cache string) {
 	}
 	if res.incomplete {
 		w.Header().Set(incompleteHeader, "deadline")
-	}
-	if res.warm > 0 {
-		w.Header().Set(warmHeader, strconv.FormatInt(res.warm, 10))
-	}
-	if res.peer != "" {
-		w.Header().Set(peerHeader, res.peer)
 	}
 	writeJSON(w, res.status, res.body, cache)
 }

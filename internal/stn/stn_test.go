@@ -390,3 +390,71 @@ func TestQuickEarliestSatisfiesAllConstraints(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIncrementalOpsAllocationFree pins the four incremental operations
+// the branch and bound runs per node at zero allocations: a push that
+// shifts a 50-variable chain inside Mark/Reset, an implied push, an
+// inconsistent push and its pop, and EarliestInto into a reused buffer.
+func TestIncrementalOpsAllocationFree(t *testing.T) {
+	chain := func() (*STN, VarID, VarID) {
+		s := New()
+		head := s.NewVar("v0")
+		prev := head
+		for i := 1; i < 50; i++ {
+			v := s.NewVar("v")
+			s.AddMin(v, prev, 10)
+			prev = v
+		}
+		return s, head, prev
+	}
+	pair := func() (*STN, VarID, VarID) {
+		s := New()
+		a := s.NewVar("a")
+		b := s.NewVar("b")
+		s.AddMin(b, a, 100)
+		return s, a, b
+	}
+
+	shift, head, tail := chain()
+	implied, ia, ib := pair()
+	broken, ba, bb := pair()
+	snap, _, _ := chain()
+	buf := make([]int64, 0, 64)
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"AddMin shifting a chain", func() {
+			mark := shift.Mark()
+			shift.AddMin(head, Zero, 100)
+			if shift.Dist(tail) != 590 {
+				t.Fatalf("Dist(tail) = %d, want 590", shift.Dist(tail))
+			}
+			shift.Reset(mark)
+		}},
+		{"implied AddMin", func() {
+			mark := implied.Mark()
+			implied.AddMin(ib, ia, 50)
+			implied.Reset(mark)
+		}},
+		{"inconsistent push and pop", func() {
+			mark := broken.Mark()
+			broken.AddMin(ba, bb, 1)
+			if broken.Consistent() {
+				t.Fatal("positive cycle undetected")
+			}
+			broken.Reset(mark)
+		}},
+		{"EarliestInto a reused buffer", func() {
+			out, err := snap.EarliestInto(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = out[:0]
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, op.run); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per run, want 0", op.name, allocs)
+		}
+	}
+}
