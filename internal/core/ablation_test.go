@@ -20,7 +20,11 @@ func ablationSearch(t *testing.T, p *Problem) (*dag.LineGraph, *search) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lg, newSearch(context.Background(), p, lg, p.MaxRounds)
+	maxRounds := p.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = lg.MinRounds() + DefaultExtraRounds
+	}
+	return lg, newSearch(context.Background(), p, lg, maxRounds)
 }
 
 // TestSymmetrySkipWorkCount gates the interchange-class dominance skip

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -72,7 +71,7 @@ func (ci *chiInstance) solve(forceGreedy bool) (chi []int, exact bool, err error
 }
 
 // chiMemo is the per-solve χ memo: one solved entry per distinct χ
-// instance (see Problem.chiMemo). A nil memo solves every instance.
+// instance, keyed by Problem.chiKey (see Problem.chiMemo).
 type chiMemo struct {
 	mu sync.Mutex
 	m  map[string]chiMemoEntry
@@ -87,37 +86,30 @@ type chiMemoEntry struct {
 	err   error
 }
 
-// solveOnce returns ci's memoized solution, solving and storing it on a
-// miss. The key is n plus each constraint's flood list in constraint
-// order. Everything else in an instance is fixed for the solve or
-// follows from the flood lists — budgets, costs, deficits, task names
-// and lower bounds — and solve is deterministic, so an entry is exactly
-// what solving ci again would return. Parallel workers that miss on the
-// same key both solve it and store equal entries.
-func (m *chiMemo) solveOnce(ci *chiInstance, forceGreedy bool) chiMemoEntry {
-	var ent chiMemoEntry
-	if m == nil {
-		ent.chi, ent.exact, ent.err = ci.solve(forceGreedy)
-		return ent
-	}
-	var buf [512]byte
-	key := binary.AppendUvarint(buf[:0], uint64(ci.n))
-	for _, c := range ci.cons {
-		key = binary.AppendUvarint(key, uint64(len(c.floods)))
-		for _, f := range c.floods {
-			key = binary.AppendUvarint(key, uint64(f))
-		}
-	}
+// get returns the entry stored under key, if any. A hit allocates
+// nothing: the map index by string(key) does not copy the key.
+func (m *chiMemo) get(key []byte) (chiMemoEntry, bool) {
 	m.mu.Lock()
 	ent, ok := m.m[string(key)]
 	m.mu.Unlock()
-	if ok {
-		return ent
-	}
-	ent.chi, ent.exact, ent.err = ci.solve(forceGreedy)
+	return ent, ok
+}
+
+// put stores ent under key. Everything in an instance is fixed for the
+// solve or follows from its key (see Problem.chiKey), and solve is
+// deterministic, so an entry is exactly what solving the instance again
+// would return. Parallel workers that miss on the same key both solve it
+// and store equal entries.
+func (m *chiMemo) put(key []byte, ent chiMemoEntry) {
 	m.mu.Lock()
 	m.m[string(key)] = ent
 	m.mu.Unlock()
+}
+
+// solveEntry solves ci into a memo entry.
+func (ci *chiInstance) solveEntry(forceGreedy bool) chiMemoEntry {
+	var ent chiMemoEntry
+	ent.chi, ent.exact, ent.err = ci.solve(forceGreedy)
 	return ent
 }
 

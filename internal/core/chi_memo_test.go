@@ -140,14 +140,46 @@ func TestChiMemoMatchesNoMemo(t *testing.T) {
 
 // TestChiMemoHitAllocationFree pins that a memo hit allocates nothing:
 // on instances whose χ never repeats the memo must cost next to nothing.
+// chiFor builds the key straight from the assignment, so a hit builds no
+// instance either: from the per-task checks to the entry handed to
+// place, it allocates nothing, in both modes.
 func TestChiMemoHitAllocationFree(t *testing.T) {
 	memo := &chiMemo{m: map[string]chiMemoEntry{}}
 	ci := mkChi(6, 5, 9, [][]int{{0, 1, 4}, {1, 2, 3, 5}})
-	want := memo.solveOnce(ci, false)
-	if allocs := testing.AllocsPerRun(100, func() { memo.solveOnce(ci, false) }); allocs != 0 {
+	key := []byte("some instance")
+	want := ci.solveEntry(false)
+	memo.put(key, want)
+	if allocs := testing.AllocsPerRun(100, func() { memo.get(key) }); allocs != 0 {
 		t.Errorf("memo hit allocates %.0f times, want 0", allocs)
 	}
-	if got := memo.solveOnce(ci, false); !reflect.DeepEqual(got, want) || len(memo.m) != 1 {
-		t.Errorf("hit = %+v with %d entries, want %+v with 1", got, len(memo.m), want)
+	if got, ok := memo.get(key); !ok || !reflect.DeepEqual(got, want) || len(memo.m) != 1 {
+		t.Errorf("hit = %+v, %v with %d entries, want %+v with 1", got, ok, len(memo.m), want)
+	}
+
+	for name, p := range map[string]*Problem{
+		"diamond (soft)":         diamondProblem(),
+		"av-heavy (weakly-hard)": avHeavyProblem(t, false, false),
+	} {
+		lg, s := ablationSearch(t, p)
+		checked := 0
+		lg.EnumerateAssignments(s.maxRounds, func(l []int) bool {
+			rounds := roundCount(l)
+			first := p.chiFor(l, rounds)
+			if first.err != nil {
+				t.Fatalf("%s: assignment %v: %v", name, l, first.err)
+			}
+			var hit chiMemoEntry
+			if allocs := testing.AllocsPerRun(10, func() { hit = p.chiFor(l, rounds) }); allocs != 0 {
+				t.Errorf("%s: assignment %v: memo hit allocates %.0f times, want 0", name, l, allocs)
+			}
+			if !reflect.DeepEqual(hit, first) {
+				t.Errorf("%s: assignment %v: hit %+v, first lookup %+v", name, l, hit, first)
+			}
+			checked++
+			return checked < 50
+		})
+		if checked == 0 {
+			t.Errorf("%s: no assignment checked", name)
+		}
 	}
 }

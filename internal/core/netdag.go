@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -43,9 +43,9 @@ func Solve(p *Problem) (*Schedule, error) {
 var ErrCanceled = errors.New("core: solve canceled before the search completed")
 
 // SolveContext is Solve with cooperative cancellation: the context is
-// polled in the outer enumeration over round assignments (both the
-// sequential loop and the parallel producer/workers) and inside the
-// per-assignment branch-and-bound timing search. On expiry it returns
+// polled in the outer enumeration over round assignments (the producer
+// and any workers) and inside the per-assignment branch-and-bound timing
+// search. On expiry it returns
 // (incumbent, ErrCanceled) — the incumbent being the best schedule found
 // so far with Optimal = false, or nil when none was reached in time.
 //
@@ -73,14 +73,7 @@ func SolveContext(ctx context.Context, p *Problem) (*Schedule, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var best *candidate
-	var explored int
-	var firstErr *searchErr
-	if workers <= 1 {
-		best, explored, firstErr = s.runSequential()
-	} else {
-		best, explored, firstErr = s.runParallel(workers)
-	}
+	best, firstErr := s.run(workers)
 	// A solve is canceled only if the expiry actually cut the search short
 	// (s.interrupted). Re-polling ctx here would misreport a search that
 	// ran to completion just before its deadline as canceled — demoting a
@@ -94,11 +87,7 @@ func SolveContext(ctx context.Context, p *Problem) (*Schedule, error) {
 		// optimization, never a constraint.
 		s = newSearch(ctx, p, lg, maxRounds)
 		s.warm = 0
-		if workers <= 1 {
-			best, explored, firstErr = s.runSequential()
-		} else {
-			best, explored, firstErr = s.runParallel(workers)
-		}
+		best, firstErr = s.run(workers)
 		canceled = s.interrupted.Load()
 	}
 	if best == nil {
@@ -110,7 +99,7 @@ func SolveContext(ctx context.Context, p *Problem) (*Schedule, error) {
 		}
 		return nil, fmt.Errorf("%w: no admissible round assignment", ErrUnsat)
 	}
-	best.sched.Explored = explored
+	best.sched.Explored = s.explored
 	if canceled {
 		best.sched.Optimal = false
 		return best.sched, ErrCanceled
@@ -118,10 +107,10 @@ func SolveContext(ctx context.Context, p *Problem) (*Schedule, error) {
 	return best.sched, nil
 }
 
-// search carries the state shared by the sequential and parallel outer
-// searches over round assignments: the problem, the line graph, and the
-// precomputed per-message χ floors that tighten the admissibility lower
-// bound.
+// search carries the state of one outer search over round assignments
+// (see run): the problem, the line graph, the precomputed per-message χ
+// floors that tighten the admissibility lower bounds, and the shared
+// incumbent.
 type search struct {
 	ctx       context.Context
 	p         *Problem
@@ -146,10 +135,19 @@ type search struct {
 	// that make slotFloor admissible make chargeFloor admissible, since
 	// flood charge is strictly increasing in χ).
 	chargeFloor int64
+	// beaconDur and beaconCharge are the beacon's duration and charge
+	// columns, indexed by χ−1: the per-round terms of the lower bounds.
+	beaconDur, beaconCharge []int64
 	// warm is Problem.WarmMakespan: a virtual incumbent (warm, idx +∞)
 	// active until the first real schedule is found. SolveContext clears
 	// it for the cold redo when the hint excluded every assignment.
 	warm int64
+	// inc is the best outcome published so far, read by every prune
+	// point; run seeds it with the warm virtual incumbent.
+	inc atomic.Pointer[incumbentRec]
+	// explored counts the enumerated assignments, cut those of them the
+	// tier cut skipped. Only the producer writes them.
+	explored, cut int
 }
 
 // candidate is a schedule paired with its position in the deterministic
@@ -224,75 +222,50 @@ func newSearch(ctx context.Context, p *Problem, lg *dag.LineGraph, maxRounds int
 			}
 		}
 	}
-	for _, m := range p.App.Messages() {
+	for _, m := range p.msgs {
 		s.slotFloor += p.Params.SlotDuration(s.chiFloor[m.ID], m.Width, p.Diameter)
 		s.chargeFloor += p.chargeByWidth[m.Width][s.chiFloor[m.ID]-1]
 	}
+	s.beaconDur = p.costByWidth[p.Params.BeaconWidth]
+	s.beaconCharge = p.chargeByWidth[p.Params.BeaconWidth]
 	return s
 }
 
-// lowerBound is the cheap per-assignment makespan bound: rounds are
-// global blackouts, so the makespan is at least the critical-path WCET
-// plus the cheapest possible bus time, with every flood at its χ floor.
-// Beacons inherit the floor of the messages sharing their round, since
-// the weakly-hard window requirement applies to every predecessor flood
-// (eq. 10), beacons included.
-func (s *search) lowerBound(assign []int) int64 {
+// roundCount returns the number of rounds assign uses.
+func roundCount(assign []int) int {
 	rounds := 0
 	for _, r := range assign {
-		if r+1 > rounds {
-			rounds = r + 1
-		}
+		rounds = max(rounds, r+1)
 	}
-	lb := s.cpWCET + s.slotFloor
-	beacon := make([]int, rounds)
-	for m, r := range assign {
-		if s.chiFloor[m] > beacon[r] {
-			beacon[r] = s.chiFloor[m]
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		n := beacon[r]
-		if n < s.p.MinNTX {
-			n = s.p.MinNTX
-		}
-		lb += s.p.Params.BeaconDuration(n, s.p.Diameter)
-	}
-	return lb
+	return rounds
 }
 
-// energyLowerBound is the cheap per-assignment energy bound, the
-// admissibility counterpart of lowerBound under ObjectiveEnergy: every
-// message flood at its χ-floor charge (chargeFloor), every round beacon
-// at the floor inherited from the messages sharing its round, plus sleep
-// leakage over the critical-path WCET — rounds are global blackouts, so
-// at least cpWCET µs of computation happen with the radio off. Flood
-// charge is strictly increasing in χ (see floodChargePC), so raising any
-// flood above its floor only adds charge: the bound never exceeds the
-// energy of any feasible schedule for this assignment.
-func (s *search) energyLowerBound(assign []int) int64 {
-	rounds := 0
-	for _, r := range assign {
-		if r+1 > rounds {
-			rounds = r + 1
-		}
-	}
-	lb := s.chargeFloor + s.cpWCET*s.p.EnergyParams.SleepCurrentUA
-	beacon := make([]int, rounds)
-	for m, r := range assign {
-		if s.chiFloor[m] > beacon[r] {
-			beacon[r] = s.chiFloor[m]
-		}
-	}
-	beaconCharge := s.p.chargeByWidth[s.p.Params.BeaconWidth]
+// lowerBounds returns the cheap per-assignment bounds on makespan and
+// energy, with every flood at its χ floor. Makespan: rounds are global
+// blackouts, so it is at least the critical-path WCET plus the cheapest
+// possible bus time. Energy: every message flood at its χ-floor charge
+// (chargeFloor) plus sleep leakage over the critical-path WCET, since at
+// least cpWCET µs of computation happen with the radio off; flood charge
+// is strictly increasing in χ (see floodChargePC), so raising any flood
+// only adds charge. Beacons inherit the floor of the messages sharing
+// their round, since the weakly-hard window requirement applies to every
+// predecessor flood (eq. 10), beacons included. Neither bound exceeds
+// the value of any feasible schedule for the assignment.
+func (s *search) lowerBounds(assign []int) (mlb, elb int64) {
+	mlb = s.cpWCET + s.slotFloor
+	elb = s.chargeFloor + s.cpWCET*s.p.EnergyParams.SleepCurrentUA
+	rounds := roundCount(assign)
 	for r := 0; r < rounds; r++ {
-		n := beacon[r]
-		if n < s.p.MinNTX {
-			n = s.p.MinNTX
+		n := s.p.MinNTX
+		for m, mr := range assign {
+			if mr == r {
+				n = max(n, s.chiFloor[m])
+			}
 		}
-		lb += beaconCharge[n-1]
+		mlb += s.beaconDur[n-1]
+		elb += s.beaconCharge[n-1]
 	}
-	return lb
+	return mlb, elb
 }
 
 // prunable reports whether an assignment with the given lower bound and
@@ -309,17 +282,41 @@ func prunable(lb int64, idx int, incMakespan int64, incIdx int) bool {
 // objective's total order — and otherwise returns the incumbent scalar
 // (makespan under ObjectiveMakespan, energy pC under ObjectiveEnergy) to
 // feed the timing search as scheduleForAssignment's bound (-1 for none).
+func (s *search) assignBound(assign []int, idx int, inc *incumbentRec) (prune bool, bound int64) {
+	if inc == nil && s.p.MakespanCap <= 0 {
+		return false, -1
+	}
+	mlb, elb := s.lowerBounds(assign)
+	return s.boundPrune(mlb, elb, idx, inc)
+}
+
+// tierCut reports whether assignBound would prune the cheapest possible
+// member of the tier of assignments using `rounds` rounds, at enumeration
+// index idx: every message at its χ floor and every beacon at MinNTX. Its
+// bounds are at most lowerBounds of every assignment in the tier, and
+// they grow with rounds, so when it is pruned, so is everything left in
+// the tier and in every later tier.
+func (s *search) tierCut(rounds, idx int, inc *incumbentRec) bool {
+	if inc == nil && s.p.MakespanCap <= 0 {
+		return false
+	}
+	r := int64(rounds)
+	mlb := s.cpWCET + s.slotFloor + r*s.beaconDur[s.p.MinNTX-1]
+	elb := s.chargeFloor + s.cpWCET*s.p.EnergyParams.SleepCurrentUA + r*s.beaconCharge[s.p.MinNTX-1]
+	prune, _ := s.boundPrune(mlb, elb, idx, inc)
+	return prune
+}
+
+// boundPrune decides assignBound for the lower bounds (mlb, elb).
 //
 // Under ObjectiveEnergy the incumbent prune must be strict on energy
 // alone: an equal-energy candidate can still win on smaller makespan, so
 // the index tie-break only applies when both bounds match the incumbent.
 // The NoEnergyBound ablation skips the incumbent-derived pruning
-// entirely (the cap, being a hard constraint, always applies).
-func (s *search) assignBound(assign []int, idx int, inc *incumbentRec) (prune bool, bound int64) {
-	if inc == nil && s.p.MakespanCap <= 0 {
-		return false, -1
-	}
-	mlb := s.lowerBound(assign)
+// entirely (the cap, being a hard constraint, always applies). The
+// decision is monotone: raising either bound or the index never turns a
+// prune into a keep, which is what makes tierCut sound.
+func (s *search) boundPrune(mlb, elb int64, idx int, inc *incumbentRec) (prune bool, bound int64) {
 	if s.p.MakespanCap > 0 && mlb > s.p.MakespanCap {
 		return true, -1
 	}
@@ -330,7 +327,6 @@ func (s *search) assignBound(assign []int, idx int, inc *incumbentRec) (prune bo
 		if s.p.NoEnergyBound {
 			return false, -1
 		}
-		elb := s.energyLowerBound(assign)
 		if elb > inc.energy ||
 			(elb >= inc.energy && (mlb > inc.makespan || (mlb >= inc.makespan && idx > inc.idx))) {
 			return true, -1
@@ -341,62 +337,6 @@ func (s *search) assignBound(assign []int, idx int, inc *incumbentRec) (prune bo
 		return true, -1
 	}
 	return false, inc.makespan
-}
-
-// runSequential is the Workers = 1 search: enumerate assignments in
-// order, prune against the running best, and keep the first schedule
-// achieving the minimum makespan.
-func (s *search) runSequential() (*candidate, int, *searchErr) {
-	var best *candidate
-	explored := 0
-	var firstErr *searchErr
-	s.lg.EnumerateAssignments(s.maxRounds, func(l []int) bool {
-		if s.ctx.Err() != nil {
-			s.interrupted.Store(true)
-			return false // canceled: stop enumerating, keep the incumbent
-		}
-		idx := explored
-		explored++
-		var inc *incumbentRec
-		if best != nil {
-			inc = &incumbentRec{energy: best.sched.EnergyPC, makespan: best.sched.Makespan, idx: best.idx}
-		} else if s.warm > 0 {
-			// Virtual incumbent (warm, +∞): prune exactly what a real
-			// incumbent at the warm makespan would (the index tie-break
-			// never fires against +∞), and cap the timing search likewise.
-			// Everything pruned here has optimum > warm ≥ the previous
-			// schedule, so it cannot win a cold search whose optimum is
-			// ≤ warm; when no assignment survives, SolveContext redoes the
-			// search cold. (Warm hints only exist under ObjectiveMakespan;
-			// normalize clears them otherwise.)
-			inc = &incumbentRec{energy: math.MaxInt64, makespan: s.warm, idx: math.MaxInt}
-		}
-		prune, bound := s.assignBound(l, idx, inc)
-		if prune {
-			return true
-		}
-		assign := append([]int(nil), l...)
-		sched, err := s.p.scheduleForAssignment(s.ctx, assign, bound)
-		if err != nil {
-			if errors.Is(err, solver.ErrCanceled) {
-				s.interrupted.Store(true)
-			}
-			if !skippableSearchErr(err) && firstErr == nil {
-				firstErr = &searchErr{idx: idx, err: err}
-			}
-			return true
-		}
-		if !sched.Optimal && s.ctx.Err() != nil {
-			// The timing search kept an incumbent but was cut short.
-			s.interrupted.Store(true)
-		}
-		if best == nil || s.p.betterCand(sched.EnergyPC, sched.Makespan, idx,
-			best.sched.EnergyPC, best.sched.Makespan, best.idx) {
-			best = &candidate{sched: sched, idx: idx}
-		}
-		return true
-	})
-	return best, explored, firstErr
 }
 
 // predFloods returns, for a task's cached ancestor messages, the flood
@@ -412,8 +352,8 @@ func (s *search) runSequential() (*candidate, int, *searchErr) {
 // χ vectors for instances that are identical as sets. With the
 // canonical order the orbit's χ instances are literally identical, so
 // the solved vector is too — the fact dominatedAssignment relies on. It
-// also makes the flood lists a canonical key of the χ instance memo
-// (chiMemo.solveOnce), so equal instances always share an entry.
+// also means assignments with equal chiKey build literally identical
+// instances, so sharing a memo entry between them is exact.
 func predFloods(msgs []dag.MsgID, assign []int, nMsgs int) []int {
 	floods := make([]int, len(msgs), 2*len(msgs))
 	for i, m := range msgs {
@@ -466,108 +406,8 @@ func skippableSearchErr(err error) bool {
 // is fed to the timing search as an upper bound so hopeless branches are
 // cut early. A bound-induced dead end returns errBoundPruned.
 func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound int64) (*Schedule, error) {
-	app := p.App
-	msgs := p.msgs
-	nMsgs := len(msgs)
-	rounds := 0
-	for _, r := range assign {
-		if r+1 > rounds {
-			rounds = r + 1
-		}
-	}
-	nFloods := nMsgs + rounds
-
-	// Per-flood tables alias the normalize-time caches: the deficit
-	// column is flood-independent and the cost column depends only on
-	// width, so one solve's assignments share the same few read-only
-	// slices instead of allocating O(floods × MaxNTX) per assignment.
-	// The χ covering search minimizes the objective's scalarization of
-	// bus reservations: slot durations under ObjectiveMakespan, exact
-	// flood charges under ObjectiveEnergy (both columns are increasing
-	// in χ, which the covering solver requires).
-	costTab := p.costByWidth
-	if p.Objective == ObjectiveEnergy {
-		costTab = p.chargeByWidth
-	}
-	ci := &chiInstance{
-		n:     nFloods,
-		upper: p.MaxNTX,
-		lower: make([]int, nFloods),
-		def:   make([][]float64, nFloods),
-		cost:  make([][]int64, nFloods),
-	}
-	ci.cons = make([]chiConstraint, 0, len(p.SoftCons)+len(p.WHCons))
-	beaconCost := costTab[p.Params.BeaconWidth]
-	for f := 0; f < nFloods; f++ {
-		ci.lower[f] = p.MinNTX
-		ci.def[f] = p.defCol
-		if f < nMsgs {
-			ci.cost[f] = costTab[msgs[f].Width]
-		} else {
-			ci.cost[f] = beaconCost
-		}
-	}
-
-	// Task-level constraints become covering constraints; weakly-hard
-	// constraints additionally impose per-flood window lower bounds.
-	// Iterate tasks in ID order (not map order) so the covering
-	// constraints — and therefore any cost ties inside the χ search —
-	// are deterministic across runs.
-	switch p.Mode {
-	case Soft:
-		for _, task := range app.Tasks() {
-			id := task.ID
-			target, has := p.SoftCons[id]
-			if !has {
-				continue
-			}
-			floods := predFloods(p.ancestors[id], assign, nMsgs)
-			if len(floods) == 0 || target <= 0 {
-				continue // trivially satisfied: no networked dependencies
-			}
-			if target >= 1 {
-				return nil, fmt.Errorf("%w: task %q demands probability 1 over a lossy bus",
-					ErrUnsat, app.Task(id).Name)
-			}
-			ci.cons = append(ci.cons, chiConstraint{
-				task:   app.Task(id).Name,
-				floods: floods,
-				budget: -math.Log(target),
-			})
-		}
-	case WeaklyHard:
-		for _, task := range app.Tasks() {
-			id := task.ID
-			target, has := p.WHCons[id]
-			if !has {
-				continue
-			}
-			floods := predFloods(p.ancestors[id], assign, nMsgs)
-			if len(floods) == 0 || target.Trivial() {
-				continue
-			}
-			// Window bound: every predecessor flood's guarantee window
-			// must cover the requirement's (the ⊕ window is the minimum
-			// over predecessors, and eq. 10 needs it >= F.Window).
-			minN := p.windowFloor[target.Window]
-			if minN < 0 {
-				return nil, fmt.Errorf("%w: task %q needs a %d-round guarantee window; statistic cannot provide it within MaxNTX=%d",
-					ErrUnsat, app.Task(id).Name, target.Window, p.MaxNTX)
-			}
-			for _, f := range floods {
-				if minN > ci.lower[f] {
-					ci.lower[f] = minN
-				}
-			}
-			ci.cons = append(ci.cons, chiConstraint{
-				task:   app.Task(id).Name,
-				floods: floods,
-				budget: float64(target.Misses),
-			})
-		}
-	}
-
-	ent := p.chiMemo.solveOnce(ci, p.GreedyChi)
+	rounds := roundCount(assign)
+	ent := p.chiFor(assign, rounds)
 	if ent.err != nil {
 		return nil, ent.err
 	}
@@ -579,6 +419,100 @@ func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound
 		sched.ChiExact = ent.exact
 	}
 	return sched, err
+}
+
+// chiFor returns the solved χ entry of assign's instance, or the
+// per-task error that makes every instance of the solve unsatisfiable.
+// With the memo on, the key comes straight from the assignment, so a hit
+// builds no instance; a miss builds and solves it and stores the entry.
+func (p *Problem) chiFor(assign []int, rounds int) chiMemoEntry {
+	if p.chiErr != nil {
+		return chiMemoEntry{err: p.chiErr}
+	}
+	if p.chiMemo == nil {
+		return p.chiInstance(assign, rounds).solveEntry(p.GreedyChi)
+	}
+	var buf [512]byte
+	key := p.chiKey(buf[:0], assign, rounds)
+	if ent, ok := p.chiMemo.get(key); ok {
+		return ent
+	}
+	ent := p.chiInstance(assign, rounds).solveEntry(p.GreedyChi)
+	p.chiMemo.put(key, ent)
+	return ent
+}
+
+// chiKey appends the χ memo key of assign's instance to key: the round
+// count, then, per constraint of chiCons, the set of rounds carrying its
+// ancestor messages as a bitmask in 64-round words. The constraints and
+// their message lists are fixed for the solve, and an instance depends
+// on the assignment only through the round count and those sets, so
+// equal keys mean identical instances.
+func (p *Problem) chiKey(key []byte, assign []int, rounds int) []byte {
+	key = binary.AppendUvarint(key, uint64(rounds))
+	for i := range p.chiCons {
+		msgs := p.chiCons[i].msgs
+		for w := 0; w < rounds; w += 64 {
+			var mask uint64
+			for _, m := range msgs {
+				if r := assign[m] - w; r >= 0 && r < 64 {
+					mask |= 1 << r
+				}
+			}
+			key = binary.AppendUvarint(key, mask)
+		}
+	}
+	return key
+}
+
+// chiInstance builds the χ covering instance of a round assignment:
+// every flood at its χ domain, each constraint of chiCons over its
+// predFloods, and weakly-hard window floors on the floods they cover.
+//
+// Per-flood tables alias the normalize-time caches: the deficit column
+// is flood-independent and the cost column depends only on width, so one
+// solve's assignments share the same few read-only slices instead of
+// allocating O(floods × MaxNTX) per assignment. The χ covering search
+// minimizes the objective's scalarization of bus reservations: slot
+// durations under ObjectiveMakespan, exact flood charges under
+// ObjectiveEnergy (both columns are increasing in χ, which the covering
+// solver requires).
+func (p *Problem) chiInstance(assign []int, rounds int) *chiInstance {
+	nMsgs := len(p.msgs)
+	nFloods := nMsgs + rounds
+	costTab := p.costByWidth
+	if p.Objective == ObjectiveEnergy {
+		costTab = p.chargeByWidth
+	}
+	ci := &chiInstance{
+		n:     nFloods,
+		upper: p.MaxNTX,
+		lower: make([]int, nFloods),
+		def:   make([][]float64, nFloods),
+		cost:  make([][]int64, nFloods),
+		cons:  make([]chiConstraint, len(p.chiCons)),
+	}
+	beaconCost := costTab[p.Params.BeaconWidth]
+	for f := 0; f < nFloods; f++ {
+		ci.lower[f] = p.MinNTX
+		ci.def[f] = p.defCol
+		if f < nMsgs {
+			ci.cost[f] = costTab[p.msgs[f].Width]
+		} else {
+			ci.cost[f] = beaconCost
+		}
+	}
+	for i, c := range p.chiCons {
+		floods := predFloods(c.msgs, assign, nMsgs)
+		// Window bound: every predecessor flood's guarantee window must
+		// cover the requirement's (the ⊕ window is the minimum over
+		// predecessors, and eq. 10 needs it >= F.Window).
+		for _, f := range floods {
+			ci.lower[f] = max(ci.lower[f], c.floor)
+		}
+		ci.cons[i] = chiConstraint{task: c.task, floods: floods, budget: c.budget}
+	}
+	return ci
 }
 
 // minNTXForWindow returns the smallest n with λ_WH(n).Window >= w.
@@ -607,7 +541,6 @@ func (p *Problem) minNTXForWindow(w int) (int, bool) {
 // is never redone; its incumbent (if any) is returned as a non-optimal
 // schedule.
 func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, bound int64) (*Schedule, error) {
-	app := p.App
 	msgs := p.msgs
 	nMsgs := len(msgs)
 
@@ -667,18 +600,18 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 	// TaskIDs are dense indices, so a slice beats a map on the
 	// per-assignment hot path (place runs once per enumerated round
 	// assignment, and every precedence/disjunction below consults it).
-	taskAct := make([]solver.ActID, app.NumTasks())
-	for _, t := range app.Tasks() {
-		taskAct[t.ID] = prob.AddActivity(t.Name, t.WCET)
+	taskAct := make([]solver.ActID, len(p.tasks))
+	for i := range p.tasks {
+		taskAct[i] = prob.AddActivity(p.tasks[i].Name, p.tasks[i].WCET)
 	}
 	roundAct := make([]solver.ActID, rounds)
 	for r := 0; r < rounds; r++ {
 		roundAct[r] = prob.AddActivity(fmt.Sprintf("round%d", r), roundDur[r])
 	}
 	// (4a) task precedence.
-	for _, t := range app.Tasks() {
-		for _, s := range app.Succs(t.ID) {
-			prob.Precede(taskAct[t.ID], taskAct[s])
+	for i, succs := range p.succs {
+		for _, s := range succs {
+			prob.Precede(taskAct[i], taskAct[s])
 		}
 	}
 	// (4b) rounds totally ordered.
@@ -694,9 +627,9 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 		}
 	}
 	// (5) tasks never overlap communication.
-	for _, t := range app.Tasks() {
+	for _, a := range taskAct {
 		for r := 0; r < rounds; r++ {
-			prob.Disjoint(taskAct[t.ID], roundAct[r])
+			prob.Disjoint(a, roundAct[r])
 		}
 	}
 	// Task-level deadlines and release times (ζ constraints).
@@ -743,11 +676,12 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 
 	sched := &Schedule{
 		Mode:   p.Mode,
-		Tasks:  make(map[dag.TaskID]TaskTime, app.NumTasks()),
+		Tasks:  make(map[dag.TaskID]TaskTime, len(p.tasks)),
 		Assign: append([]int(nil), assign...),
 	}
-	for _, t := range app.Tasks() {
-		st := res.Starts[taskAct[t.ID]]
+	for i := range p.tasks {
+		t := &p.tasks[i]
+		st := res.Starts[taskAct[i]]
 		sched.Tasks[t.ID] = TaskTime{Task: t.ID, Start: st, Finish: st + t.WCET}
 	}
 	for r := 0; r < rounds; r++ {

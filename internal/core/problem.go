@@ -130,13 +130,13 @@ type Problem struct {
 	// assignment. Zero selects DefaultSolverNodes.
 	SolverNodes int
 	// Workers sets how many round assignments Solve evaluates
-	// concurrently. Zero selects runtime.GOMAXPROCS(0); 1 forces the
-	// purely sequential search. Any value returns the same schedule: the
-	// parallel reduction breaks ties deterministically (makespan, then
-	// enumeration order), so results are byte-identical across Workers
-	// settings whenever the timing search completes within SolverNodes —
-	// raise SolverNodes if Optimal comes back false and bit-exact
-	// reproducibility across worker counts matters.
+	// concurrently. Zero selects runtime.GOMAXPROCS(0); 1 evaluates every
+	// assignment inline, on the calling goroutine. Any value returns the
+	// same schedule: the reduction breaks ties deterministically
+	// (makespan, then enumeration order), so results are byte-identical
+	// across Workers settings whenever the timing search completes within
+	// SolverNodes — raise SolverNodes if Optimal comes back false and
+	// bit-exact reproducibility across worker counts matters.
 	//
 	// With Workers > 1, user-supplied SoftStat / WHStat implementations
 	// must be safe for concurrent use; every statistic shipped in
@@ -199,11 +199,13 @@ type Problem struct {
 	// chiMemo caches the solved χ vector (or solve error) of every
 	// distinct χ instance a solve builds. An instance depends on the
 	// round assignment only through which beacons each constrained task
-	// sees, so many assignments share one: the sequential search solves
+	// sees, so many assignments share one: a Workers = 1 search solves
 	// each once, and every repeat skips the χ search — the dominant
-	// per-assignment cost. predFloods' canonical ordering makes the
-	// instances of an interchange orbit literally identical, so they
-	// share an entry too. Reset by normalize, nil when NoSymmetry is set.
+	// per-assignment cost. The key (chiKey) comes from the assignment,
+	// so a repeat builds no instance. predFloods' canonical ordering
+	// makes the instances of an interchange orbit literally identical, so
+	// they share an entry too. Reset by normalize, nil when NoSymmetry is
+	// set.
 	chiMemo *chiMemo
 
 	// Search caches computed by normalize, shared read-only by every
@@ -222,15 +224,34 @@ type Problem struct {
 	//   - windowFloor: minNTXForWindow memoized per distinct window, so
 	//     a rate-r task's instances share one floor computed once, not r
 	//     times (-1 records an unsatisfiable window);
-	//   - msgs: one immutable copy of App.Messages(), so the two
-	//     per-assignment hot-path consumers (χ instance build and
-	//     placement) stop deep-copying the message list per call.
+	//   - msgs, tasks and succs: one immutable copy each of
+	//     App.Messages(), App.Tasks() and every task's App.Succs(), so
+	//     the per-assignment hot path (χ instance build and placement)
+	//     indexes them instead of copying them per call;
+	//   - chiCons and chiErr: the task-level constraints every χ
+	//     instance of the solve carries, and the error that makes every
+	//     instance unsatisfiable (see buildChiCons).
 	ancestors     map[dag.TaskID][]dag.MsgID
 	msgs          []dag.Message
+	tasks         []dag.Task
+	succs         [][]dag.TaskID
+	chiCons       []chiCon
+	chiErr        error
 	defCol        []float64
 	costByWidth   map[int][]int64
 	chargeByWidth map[int][]int64
 	windowFloor   map[int]int
+}
+
+// chiCon is one task-level constraint as every χ instance of a solve
+// carries it: the task's ancestor messages (by MsgID) and its budget,
+// with the weakly-hard window floor it puts on each of its floods (0 in
+// soft mode). Only the beacons of its floods depend on the assignment.
+type chiCon struct {
+	task   string
+	msgs   []dag.MsgID
+	budget float64
+	floor  int
 }
 
 // Defaults for optional Problem knobs.
@@ -381,6 +402,11 @@ func (p *Problem) normalize() error {
 // parallel workers share them freely.
 func (p *Problem) buildSearchCaches() {
 	p.msgs = p.App.Messages()
+	p.tasks = p.App.Tasks()
+	p.succs = make([][]dag.TaskID, len(p.tasks))
+	for i := range p.succs {
+		p.succs[i] = p.App.Succs(dag.TaskID(i))
+	}
 	p.ancestors = make(map[dag.TaskID][]dag.MsgID, len(p.SoftCons)+len(p.WHCons))
 	record := func(id dag.TaskID) {
 		if _, ok := p.ancestors[id]; !ok {
@@ -423,7 +449,7 @@ func (p *Problem) buildSearchCaches() {
 		p.chargeByWidth[w] = charge
 	}
 	addWidth(p.Params.BeaconWidth)
-	for _, m := range p.App.Messages() {
+	for _, m := range p.msgs {
 		addWidth(m.Width)
 	}
 	p.windowFloor = make(map[int]int, len(p.WHCons))
@@ -438,6 +464,51 @@ func (p *Problem) buildSearchCaches() {
 				p.windowFloor[c.Window] = -1
 			}
 		}
+	}
+	p.buildChiCons()
+}
+
+// buildChiCons turns the task-level constraints into chiCons, in task-ID
+// order (not map order) so the covering constraints — and therefore any
+// cost ties inside the χ search — are deterministic across runs. A task
+// without networked dependencies is trivially satisfied, as is a
+// non-positive soft target or a trivial weakly-hard one; weakly-hard
+// constraints additionally impose per-flood window lower bounds. None of
+// this depends on the round assignment, so neither does the first
+// unsatisfiable constraint in task-ID order: chiErr records it, and
+// every assignment that reaches the χ stage reports it.
+func (p *Problem) buildChiCons() {
+	p.chiCons, p.chiErr = nil, nil
+	for _, t := range p.tasks {
+		msgs := p.ancestors[t.ID]
+		var c chiCon
+		switch p.Mode {
+		case Soft:
+			target, has := p.SoftCons[t.ID]
+			if !has || len(msgs) == 0 || target <= 0 {
+				continue
+			}
+			if target >= 1 {
+				p.chiErr = fmt.Errorf("%w: task %q demands probability 1 over a lossy bus",
+					ErrUnsat, t.Name)
+				return
+			}
+			c = chiCon{budget: -math.Log(target)}
+		case WeaklyHard:
+			target, has := p.WHCons[t.ID]
+			if !has || len(msgs) == 0 || target.Trivial() {
+				continue
+			}
+			c.floor = p.windowFloor[target.Window]
+			if c.floor < 0 {
+				p.chiErr = fmt.Errorf("%w: task %q needs a %d-round guarantee window; statistic cannot provide it within MaxNTX=%d",
+					ErrUnsat, t.Name, target.Window, p.MaxNTX)
+				return
+			}
+			c.budget = float64(target.Misses)
+		}
+		c.task, c.msgs = t.Name, msgs
+		p.chiCons = append(p.chiCons, c)
 	}
 }
 

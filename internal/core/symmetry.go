@@ -42,8 +42,8 @@ import (
 // of which member carries which round. Identical instances mean the χ
 // solver — whose tie-breaking depends on flood-list positions — returns
 // the same vector for both, and they share one entry of the per-solve χ
-// instance memo (Problem.chiMemo), which is keyed by the flood lists
-// themselves. The placement instances are isomorphic under
+// instance memo (Problem.chiMemo), whose key is each constraint's set of
+// rounds (Problem.chiKey). The placement instances are isomorphic under
 // relabeling the chains *only if* the solved χ values coincide per phase
 // across members (otherwise the images put different slot durations into
 // the rounds); the skip therefore verifies per-phase χ equality at

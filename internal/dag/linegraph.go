@@ -9,10 +9,11 @@ import "fmt"
 // topological partial order of this graph (paper eq. 2) is exactly an
 // admissible assignment l of messages to rounds.
 type LineGraph struct {
-	n     int
-	succ  [][]MsgID
-	pred  [][]MsgID
-	depth []int // longest chain of predecessors, 0-based
+	n      int
+	succ   [][]MsgID
+	pred   [][]MsgID
+	depth  []int // longest chain of predecessors, 0-based
+	height []int // longest chain of successors, 0-based
 }
 
 // NewLineGraph builds the line graph of g over E*. The application graph
@@ -24,10 +25,11 @@ func NewLineGraph(g *Graph) (*LineGraph, error) {
 	}
 	n := g.NumMessages()
 	lg := &LineGraph{
-		n:     n,
-		succ:  make([][]MsgID, n),
-		pred:  make([][]MsgID, n),
-		depth: make([]int, n),
+		n:      n,
+		succ:   make([][]MsgID, n),
+		pred:   make([][]MsgID, n),
+		depth:  make([]int, n),
+		height: make([]int, n),
 	}
 	for _, m := range g.Messages() {
 		for _, dst := range m.Dests {
@@ -52,6 +54,19 @@ func NewLineGraph(g *Graph) (*LineGraph, error) {
 			}
 		}
 		lg.depth[m.ID] = d
+	}
+	// Heights in reverse: a message's successors are emitted by its
+	// consumers, which come later in the order.
+	for i := len(order) - 1; i >= 0; i-- {
+		m, ok := g.MessageOf(order[i])
+		if !ok {
+			continue
+		}
+		for _, s := range lg.succ[m.ID] {
+			if lg.height[s]+1 > lg.height[m.ID] {
+				lg.height[m.ID] = lg.height[s] + 1
+			}
+		}
 	}
 	return lg, nil
 }
@@ -111,17 +126,32 @@ func (lg *LineGraph) ValidAssignment(l []int) bool {
 // EnumerateAssignments calls fn with every admissible assignment of
 // messages to rounds 0..maxRounds-1 that uses a prefix of the round
 // indices with no empty round in between (canonical form: the set of used
-// round indices is {0, 1, ..., r-1} for some r). Assignments are passed
-// in a reused buffer; fn must copy if it retains the slice. Enumeration
-// stops early when fn returns false. The total number of assignments
-// grows quickly with |E*| and maxRounds; callers bound maxRounds.
+// round indices is {0, 1, ..., r-1} for some r). Assignments come in
+// tiers of ascending round count r, and in a fixed order within a tier.
+// They are passed in a reused buffer; fn must copy if it retains the
+// slice. Enumeration stops early when fn returns false. The total number
+// of assignments grows quickly with |E*| and maxRounds; callers bound
+// maxRounds.
 func (lg *LineGraph) EnumerateAssignments(maxRounds int, fn func(l []int) bool) {
+	lg.enumerate(maxRounds, fn)
+}
+
+// enumerate is EnumerateAssignments. It returns the number of recursive
+// steps the walk took, the deterministic work count its tests gate.
+//
+// Message m is never placed above round rounds-1-height(m): its longest
+// successor chain needs that many later rounds, so a branch above the cap
+// holds no complete assignment, and cutting it leaves the emitted
+// sequence unchanged. A message's lowest round, one past its latest
+// predecessor's, is always within its cap, because every predecessor is
+// taller.
+func (lg *LineGraph) enumerate(maxRounds int, fn func(l []int) bool) (steps int) {
 	if lg.n == 0 {
 		fn(nil)
-		return
+		return 1
 	}
 	if maxRounds < lg.MinRounds() {
-		return
+		return 0
 	}
 	// Assign messages in an order compatible with line-graph precedence
 	// (by depth, then ID) so each message's predecessors are already
@@ -141,6 +171,7 @@ func (lg *LineGraph) EnumerateAssignments(maxRounds int, fn func(l []int) bool) 
 	for rounds := lg.MinRounds(); rounds <= maxRounds && !stopped; rounds++ {
 		var rec func(idx, empty int)
 		rec = func(idx, empty int) {
+			steps++
 			if stopped {
 				return
 			}
@@ -160,7 +191,7 @@ func (lg *LineGraph) EnumerateAssignments(maxRounds int, fn func(l []int) bool) 
 					lo = l[p] + 1
 				}
 			}
-			for r := lo; r < rounds; r++ {
+			for r := lo; r < rounds-lg.height[m]; r++ {
 				l[m] = r
 				counts[r]++
 				e := empty
@@ -176,36 +207,7 @@ func (lg *LineGraph) EnumerateAssignments(maxRounds int, fn func(l []int) bool) 
 		}
 		rec(0, rounds)
 	}
-}
-
-// EnumerateBatches groups the assignments of EnumerateAssignments into
-// batches of up to batchSize freshly allocated copies, in the same
-// deterministic order, and passes each batch to fn — the producer side of
-// a parallel outer search, where per-batch channel sends amortize
-// synchronization. The final batch may be short. Enumeration stops (and
-// no further batches are emitted) when fn returns false, so a consumer
-// can cancel mid-enumeration. Batches are safe to retain.
-func (lg *LineGraph) EnumerateBatches(maxRounds, batchSize int, fn func(batch [][]int) bool) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	batch := make([][]int, 0, batchSize)
-	stopped := false
-	lg.EnumerateAssignments(maxRounds, func(l []int) bool {
-		batch = append(batch, append([]int(nil), l...))
-		if len(batch) < batchSize {
-			return true
-		}
-		if !fn(batch) {
-			stopped = true
-			return false
-		}
-		batch = make([][]int, 0, batchSize)
-		return true
-	})
-	if !stopped && len(batch) > 0 {
-		fn(batch)
-	}
+	return steps
 }
 
 func (lg *LineGraph) less(a, b MsgID) bool {

@@ -1,6 +1,10 @@
 package dag
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 // fanDAG builds: s1, s2 -> c -> a1, a2 (four messages: s1, s2, c; wait —
 // only tasks that emit edges have messages: s1, s2, c).
@@ -225,94 +229,133 @@ func TestLineGraphChain(t *testing.T) {
 	}
 }
 
-// TestEnumerateBatchesMatchesEnumerateAssignments checks that batching
-// preserves the sequential enumeration exactly: same assignments, same
-// order, partitioned into full batches plus one optional short tail.
-func TestEnumerateBatchesMatchesEnumerateAssignments(t *testing.T) {
-	_, lg := fanDAG(t)
-	const maxRounds = 3
-	var seq [][]int
-	lg.EnumerateAssignments(maxRounds, func(l []int) bool {
-		seq = append(seq, append([]int(nil), l...))
-		return true
-	})
-	if len(seq) < 2 {
-		t.Fatalf("degenerate corpus: %d assignments", len(seq))
+// uncutWalk is the enumeration without the height cap: each message
+// ranges over every round from one past its latest predecessor's to the
+// last, and only the surjectivity check prunes. It is the reference the
+// capped walk must reproduce assignment for assignment.
+func uncutWalk(lg *LineGraph, maxRounds int, fn func(l []int) bool) {
+	if lg.n == 0 {
+		fn(nil)
+		return
 	}
-	for _, batchSize := range []int{1, 2, 3, len(seq), len(seq) + 7, 0} {
-		var got [][]int
-		var sizes []int
-		lg.EnumerateBatches(maxRounds, batchSize, func(batch [][]int) bool {
-			sizes = append(sizes, len(batch))
-			got = append(got, batch...)
-			return true
-		})
-		if len(got) != len(seq) {
-			t.Fatalf("batchSize %d: %d assignments, want %d", batchSize, len(got), len(seq))
+	if maxRounds < lg.MinRounds() {
+		return
+	}
+	order := make([]MsgID, lg.n)
+	for i := range order {
+		order[i] = MsgID(i)
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && lg.less(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-		for i := range seq {
-			if len(got[i]) != len(seq[i]) {
-				t.Fatalf("batchSize %d: assignment %d length mismatch", batchSize, i)
+	}
+	l := make([]int, lg.n)
+	counts := make([]int, maxRounds)
+	stopped := false
+	for rounds := lg.MinRounds(); rounds <= maxRounds && !stopped; rounds++ {
+		var rec func(idx, empty int)
+		rec = func(idx, empty int) {
+			if stopped || empty > len(order)-idx {
+				return
 			}
-			for j := range seq[i] {
-				if got[i][j] != seq[i][j] {
-					t.Fatalf("batchSize %d: assignment %d = %v, want %v", batchSize, i, got[i], seq[i])
+			if idx == len(order) {
+				stopped = !fn(l)
+				return
+			}
+			m := order[idx]
+			lo := 0
+			for _, p := range lg.pred[m] {
+				lo = max(lo, l[p]+1)
+			}
+			for r := lo; r < rounds && !stopped; r++ {
+				l[m] = r
+				counts[r]++
+				e := empty
+				if counts[r] == 1 {
+					e--
+				}
+				rec(idx+1, e)
+				counts[r]--
+			}
+		}
+		rec(0, rounds)
+	}
+}
+
+// shapedDAG builds a random application out of chains, fan-ins and
+// fan-outs: each task after the first extends the previous task's chain,
+// joins two or three earlier tasks, consumes a shared hub, or starts a
+// new source. Every task has its own node, so any edge set validates.
+func shapedDAG(rng *rand.Rand) *Graph {
+	g := New()
+	n := 3 + rng.Intn(7)
+	hub := TaskID(0)
+	for i := 0; i < n; i++ {
+		id := g.MustAddTask(taskName(i), nodeName(i), 10)
+		if i == 0 {
+			continue
+		}
+		switch rng.Intn(4) {
+		case 0: // chain
+			g.MustConnect(id-1, id, 4)
+		case 1: // fan-in
+			for k := 0; k < 2+rng.Intn(2); k++ {
+				if src := TaskID(rng.Intn(i)); !g.Reaches(src, id) {
+					g.MustConnect(src, id, 4)
+				}
+			}
+		case 2: // fan-out
+			g.MustConnect(hub, id, 4)
+			if rng.Intn(3) == 0 {
+				hub = id
+			}
+		}
+	}
+	return g
+}
+
+// TestEnumerateMatchesUncutWalk: the height cap only skips branches with
+// no complete assignment, so on random chain, fan-in and fan-out shapes,
+// at every round budget from the minimum to two above it, the capped walk
+// emits exactly the uncut walk's sequence, and an early stop ends both at
+// the same prefix.
+func TestEnumerateMatchesUncutWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	collect := func(walk func(int, func([]int) bool), maxRounds, limit int) [][]int {
+		var seq [][]int
+		walk(maxRounds, func(l []int) bool {
+			seq = append(seq, append([]int(nil), l...))
+			return limit < 0 || len(seq) < limit
+		})
+		return seq
+	}
+	total := 0
+	for trial := 0; trial < 200; trial++ {
+		g := shapedDAG(rng)
+		lg, err := NewLineGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncut := func(maxRounds int, fn func([]int) bool) { uncutWalk(lg, maxRounds, fn) }
+		for maxRounds := lg.MinRounds(); maxRounds <= lg.MinRounds()+2; maxRounds++ {
+			want := collect(uncut, maxRounds, -1)
+			got := collect(lg.EnumerateAssignments, maxRounds, -1)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, maxRounds %d: capped walk emits %d assignments %v, uncut %d %v",
+					trial, maxRounds, len(got), got, len(want), want)
+			}
+			total += len(want)
+			if len(want) > 1 {
+				stop := 1 + rng.Intn(len(want)-1)
+				if got := collect(lg.EnumerateAssignments, maxRounds, stop); !reflect.DeepEqual(got, want[:stop]) {
+					t.Fatalf("trial %d, maxRounds %d: stop after %d emits %v, want %v", trial, maxRounds, stop, got, want[:stop])
 				}
 			}
 		}
-		want := batchSize
-		if want < 1 {
-			want = 1
-		}
-		for k, s := range sizes {
-			if k < len(sizes)-1 && s != want {
-				t.Errorf("batchSize %d: interior batch %d has %d entries", batchSize, k, s)
-			}
-			if s == 0 || s > want {
-				t.Errorf("batchSize %d: batch %d has %d entries", batchSize, k, s)
-			}
-		}
 	}
-}
-
-// TestEnumerateBatchesEarlyStop confirms a false return cancels the
-// enumeration without a trailing flush.
-func TestEnumerateBatchesEarlyStop(t *testing.T) {
-	_, lg := fanDAG(t)
-	calls := 0
-	lg.EnumerateBatches(3, 2, func(batch [][]int) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("enumeration continued after cancel: %d calls", calls)
-	}
-}
-
-// TestEnumerateBatchesCopiesAreStable: retained batches must not alias
-// the enumerator's reused buffer.
-func TestEnumerateBatchesCopiesAreStable(t *testing.T) {
-	_, lg := fanDAG(t)
-	var all [][]int
-	lg.EnumerateBatches(3, 4, func(batch [][]int) bool {
-		all = append(all, batch...)
-		return true
-	})
-	for i, l := range all {
-		if !lg.ValidAssignment(l) {
-			t.Errorf("retained assignment %d = %v is invalid (buffer aliasing?)", i, l)
-		}
-	}
-	// All retained assignments must be distinct.
-	seen := make(map[string]bool)
-	for _, l := range all {
-		key := ""
-		for _, r := range l {
-			key += string(rune('0' + r))
-		}
-		if seen[key] {
-			t.Fatalf("duplicate retained assignment %v — enumerator buffer aliased", l)
-		}
-		seen[key] = true
+	t.Logf("%d assignments", total)
+	if total < 1000 {
+		t.Fatalf("degenerate shapes: %d assignments over all trials", total)
 	}
 }

@@ -49,10 +49,10 @@ type LoopConfig struct {
 	// Mobility enables the random-waypoint walker: each iteration
 	// advances it, profiles the trace and emits a diameter event when
 	// the worst-case diameter changed.
-	Mobility       bool
-	MobilitySpeed  float64 // default 0.05
-	MobilityPower  float64 // default 0.5
-	MobilitySteps  int     // walker snapshots per iteration, default 5
+	Mobility      bool
+	MobilitySpeed float64 // default 0.05
+	MobilityPower float64 // default 0.5
+	MobilitySteps int     // walker snapshots per iteration, default 5
 	// Churn optionally names a task that leaves and rejoins every
 	// ChurnEvery-th iteration (default every 7), exercising the
 	// workload-event path.
