@@ -47,7 +47,7 @@ func TestSymmetrySkipWorkCount(t *testing.T) {
 		}
 		dominated, placed := 0, 0
 		lg.EnumerateAssignments(p.MaxRounds, func(l []int) bool {
-			_, err := p.scheduleForAssignment(context.Background(), append([]int(nil), l...), -1)
+			_, err := p.scheduleForAssignment(context.Background(), &scratch{}, append([]int(nil), l...), -1)
 			switch {
 			case err == errDominated:
 				dominated++

@@ -36,7 +36,7 @@ func GlobalNTXBaseline(p *Problem) (*Schedule, error) {
 		for i := range chi {
 			chi[i] = n
 		}
-		return p.place(context.Background(), assign, chi, rounds, -1)
+		return p.place(context.Background(), &placeTemplate{}, assign, chi, rounds, -1)
 	}
 	return nil, fmt.Errorf("%w: no global N_TX within 1..%d meets the constraints", ErrUnsat, p.MaxNTX)
 }
@@ -44,11 +44,13 @@ func GlobalNTXBaseline(p *Problem) (*Schedule, error) {
 // globalNTXFeasible checks every task-level constraint under a uniform
 // χ = n.
 func (p *Problem) globalNTXFeasible(assign []int, nMsgs, n int) bool {
+	marks := make([]bool, roundCount(assign))
+	var floods []int
 	switch p.Mode {
 	case Soft:
 		lam := p.SoftStat.SuccessProb(n)
 		for id, target := range p.SoftCons {
-			floods := predFloods(p.ancestors[id], assign, nMsgs)
+			floods = predFloods(floods[:0], marks, p.ancestors[id], assign, nMsgs)
 			if len(floods) == 0 || target <= 0 {
 				continue
 			}
@@ -63,7 +65,7 @@ func (p *Problem) globalNTXFeasible(assign []int, nMsgs, n int) bool {
 	case WeaklyHard:
 		g := p.WHStat.MissConstraint(n)
 		for id, target := range p.WHCons {
-			floods := predFloods(p.ancestors[id], assign, nMsgs)
+			floods = predFloods(floods[:0], marks, p.ancestors[id], assign, nMsgs)
 			if len(floods) == 0 || target.Trivial() {
 				continue
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -23,7 +24,11 @@ import (
 // upward-closed set (statistics are monotone), searched exactly by branch
 // and bound on small instances and greedily otherwise.
 
-// chiInstance is the covering problem over floods 0..n-1.
+// chiInstance is the covering problem over floods 0..n-1. A search
+// consumer keeps one as its χ scratch: Problem.fillChi refills it in
+// place on every memo miss, and the searches take their working arrays
+// from buf, so a miss on a warm consumer allocates only the vector that
+// solve returns.
 type chiInstance struct {
 	n     int
 	upper int
@@ -31,6 +36,31 @@ type chiInstance struct {
 	def   [][]float64 // def[f][i] = deficit of flood f at χ = i+1, non-increasing
 	cost  [][]int64   // cost[f][i] = reserved duration at χ = i+1, increasing
 	cons  []chiConstraint
+	// floods holds every constraint's flood list back to back, and
+	// roundMarks is predFloods' per-round mark (see fillChi).
+	floods     []int
+	roundMarks []bool
+	buf        chiBuffers
+}
+
+// chiBuffers are the working arrays of the χ searches, reused across
+// the solves of one instance value (see reuse). solveExact returns best
+// and solveGreedy greedy, so their results are valid only until the
+// instance's next solve; solve copies them out.
+type chiBuffers struct {
+	chi, best, greedy, adjAt, adj, order, lvAt, lvs []int
+	seen, assigned                                  []bool
+	minRemCost                                      []int64
+	sums                                            []float64
+}
+
+// reuse returns buf resized to n elements, keeping its storage when it
+// holds n. The elements are stale: callers overwrite or clear them.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 type chiConstraint struct {
@@ -57,17 +87,18 @@ const chiNodeBudget = 300000
 // (unconstrained floods are pinned to their lower bounds and never
 // branched on); both return the chosen χ per flood. exact reports a
 // proven cost-minimal vector: false when the greedy optimizer ran or
-// the exact search hit chiNodeBudget.
+// the exact search hit chiNodeBudget. The vector is a copy, not the
+// instance's buffer: memo entries are shared and must stay immutable.
 func (ci *chiInstance) solve(forceGreedy bool) (chi []int, exact bool, err error) {
 	if err := ci.checkFeasibleAtUpper(); err != nil {
 		return nil, false, err
 	}
 	if !forceGreedy && ci.numConstrained() <= exactChiFloodLimit {
 		chi, nodes, err := ci.solveExact()
-		return chi, nodes <= chiNodeBudget, err
+		return slices.Clone(chi), nodes <= chiNodeBudget, err
 	}
 	chi, err = ci.solveGreedy()
-	return chi, false, err
+	return slices.Clone(chi), false, err
 }
 
 // chiMemo is the per-solve χ memo: one solved entry per distinct χ
@@ -115,7 +146,9 @@ func (ci *chiInstance) solveEntry(forceGreedy bool) chiMemoEntry {
 
 // numConstrained counts floods referenced by at least one constraint.
 func (ci *chiInstance) numConstrained() int {
-	seen := make([]bool, ci.n)
+	ci.buf.seen = reuse(ci.buf.seen, ci.n)
+	seen := ci.buf.seen
+	clear(seen)
 	cnt := 0
 	for _, c := range ci.cons {
 		for _, f := range c.floods {
@@ -176,9 +209,10 @@ func (ci *chiInstance) totalCost(chi []int) int64 {
 
 // solveGreedy starts every flood at its lower bound and repeatedly bumps
 // the flood with the best deficit-reduction per cost among a violated
-// constraint's floods.
+// constraint's floods. It returns the instance's greedy buffer.
 func (ci *chiInstance) solveGreedy() ([]int, error) {
-	chi := make([]int, ci.n)
+	ci.buf.greedy = reuse(ci.buf.greedy, ci.n)
+	chi := ci.buf.greedy
 	copy(chi, ci.lower)
 	for {
 		vi := ci.violated(chi)
@@ -228,14 +262,19 @@ func (ci *chiInstance) solveGreedy() ([]int, error) {
 // The tree, its visiting order and the node count are those of re-summing
 // every constraint at every node; an incremental sum that lands within
 // rounding distance of the threshold is re-summed in flood-list order so
-// the soft-mode (float) decisions match too. It returns the nodes visited.
+// the soft-mode (float) decisions match too. It returns the nodes visited
+// and the instance's best buffer.
 func (ci *chiInstance) solveExact() ([]int, int, error) {
-	chi := make([]int, ci.n)
+	b := &ci.buf
+	b.chi = reuse(b.chi, ci.n)
+	chi := b.chi
 	copy(chi, ci.lower)
 	// adj[adjAt[f]:adjAt[f+1]] lists the constraints containing flood f.
 	// After the prefix sum adjAt[f] is the end of f's range; filling the
 	// range from its end leaves adjAt[f] at its start.
-	adjAt := make([]int, ci.n+1)
+	b.adjAt = reuse(b.adjAt, ci.n+1)
+	adjAt := b.adjAt
+	clear(adjAt)
 	for _, c := range ci.cons {
 		for _, f := range c.floods {
 			adjAt[f]++
@@ -244,7 +283,8 @@ func (ci *chiInstance) solveExact() ([]int, int, error) {
 	for f := 1; f <= ci.n; f++ {
 		adjAt[f] += adjAt[f-1]
 	}
-	adj := make([]int, adjAt[ci.n])
+	b.adj = reuse(b.adj, adjAt[ci.n])
+	adj := b.adj
 	for c := len(ci.cons) - 1; c >= 0; c-- {
 		for _, f := range ci.cons[c].floods {
 			adjAt[f]--
@@ -254,9 +294,13 @@ func (ci *chiInstance) solveExact() ([]int, int, error) {
 	// Branch order: constrained floods only, order[i] with its Pareto
 	// level set lvs[lvAt[i]:lvAt[i+1]]. assigned[f] reports whether
 	// flood f's level is final in the current partial assignment.
-	order := make([]int, 0, ci.n)
-	lvAt, lvs := make([]int, 1, ci.n+1), make([]int, 0, ci.n*ci.upper)
-	assigned := make([]bool, ci.n)
+	b.order = reuse(b.order, ci.n)
+	b.lvAt = reuse(b.lvAt, ci.n+1)
+	b.lvs = reuse(b.lvs, ci.n*ci.upper)
+	b.assigned = reuse(b.assigned, ci.n)
+	order, lvAt, lvs, assigned := b.order[:0], b.lvAt[:1], b.lvs[:0], b.assigned
+	lvAt[0] = 0
+	clear(assigned)
 	for f := 0; f < ci.n; f++ {
 		if adjAt[f+1] == adjAt[f] {
 			assigned[f] = true
@@ -271,7 +315,8 @@ func (ci *chiInstance) solveExact() ([]int, int, error) {
 		}
 		lvAt = append(lvAt, len(lvs))
 	}
-	best := make([]int, ci.n)
+	b.best = reuse(b.best, ci.n)
+	best := b.best
 	bestCost := int64(-1)
 	// Seed with greedy: any feasible incumbent makes the cost bound
 	// active immediately.
@@ -287,7 +332,9 @@ func (ci *chiInstance) solveExact() ([]int, int, error) {
 		}
 	}
 	// minRemCost[i] = Σ over order[i:] of cost at lower bound.
-	minRemCost := make([]int64, len(order)+1)
+	b.minRemCost = reuse(b.minRemCost, len(order)+1)
+	minRemCost := b.minRemCost
+	minRemCost[len(order)] = 0
 	for i := len(order) - 1; i >= 0; i-- {
 		f := order[i]
 		minRemCost[i] = minRemCost[i+1] + ci.cost[f][ci.lower[f]-1]
@@ -295,8 +342,8 @@ func (ci *chiInstance) solveExact() ([]int, int, error) {
 	// sum[c] is constraint c's optimistic deficit sum, and
 	// saved[adjAt[f]:adjAt[f+1]] holds f's constraint sums from before f
 	// was fixed, restored on the way back up.
-	sums := make([]float64, len(ci.cons)+len(adj))
-	sum, saved := sums[:len(ci.cons)], sums[len(ci.cons):]
+	b.sums = reuse(b.sums, len(ci.cons)+len(adj))
+	sum, saved := b.sums[:len(ci.cons)], b.sums[len(ci.cons):]
 	feasible := true
 	for c := range ci.cons {
 		sum[c] = ci.optimisticSum(c, chi, assigned)

@@ -161,15 +161,16 @@ func TestChiMemoHitAllocationFree(t *testing.T) {
 		"av-heavy (weakly-hard)": avHeavyProblem(t, false, false),
 	} {
 		lg, s := ablationSearch(t, p)
+		var ci chiInstance
 		checked := 0
 		lg.EnumerateAssignments(s.maxRounds, func(l []int) bool {
 			rounds := roundCount(l)
-			first := p.chiFor(l, rounds)
+			first := p.chiFor(&ci, l, rounds)
 			if first.err != nil {
 				t.Fatalf("%s: assignment %v: %v", name, l, first.err)
 			}
 			var hit chiMemoEntry
-			if allocs := testing.AllocsPerRun(10, func() { hit = p.chiFor(l, rounds) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(10, func() { hit = p.chiFor(&ci, l, rounds) }); allocs != 0 {
 				t.Errorf("%s: assignment %v: memo hit allocates %.0f times, want 0", name, l, allocs)
 			}
 			if !reflect.DeepEqual(hit, first) {

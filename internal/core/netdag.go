@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/netdag/netdag/internal/dag"
@@ -339,13 +339,13 @@ func (s *search) boundPrune(mlb, elb int64, idx int, inc *incumbentRec) (prune b
 	return false, inc.makespan
 }
 
-// predFloods returns, for a task's cached ancestor messages, the flood
-// indices of pred(τ): the messages plus the beacons of the rounds
+// predFloods appends to dst, for a task's cached ancestor messages, the
+// flood indices of pred(τ): the messages plus the beacons of the rounds
 // carrying them. Flood indexing: messages occupy 0..M-1 (by MsgID),
 // beacons occupy M..M+R-1 (by round index). The list is canonical —
-// messages in MsgID order, then beacons in round order — NOT in the
-// interleaved order a MsgAncestors walk would visit them. Canonicality
-// matters for the symmetry machinery: the χ solver breaks score ties by
+// messages as listed (in MsgID order), then beacons in ascending round
+// — NOT in the interleaved order a MsgAncestors walk would visit them.
+// Canonicality matters for the symmetry machinery: the χ solver breaks score ties by
 // list position, and under the interleaved order two round assignments
 // in the same interchange orbit would render the same constraint with
 // its beacons in different positions, letting the solver pick different
@@ -354,30 +354,22 @@ func (s *search) boundPrune(mlb, elb int64, idx int, inc *incumbentRec) (prune b
 // the solved vector is too — the fact dominatedAssignment relies on. It
 // also means assignments with equal chiKey build literally identical
 // instances, so sharing a memo entry between them is exact.
-func predFloods(msgs []dag.MsgID, assign []int, nMsgs int) []int {
-	floods := make([]int, len(msgs), 2*len(msgs))
-	for i, m := range msgs {
-		floods[i] = int(m)
-	}
-	var rounds []int
+//
+// marks has one entry per round of assign, all false: predFloods marks
+// the rounds carrying msgs and clears each mark as it appends the
+// round's beacon, so it needs no round list and no sort.
+func predFloods(dst []int, marks []bool, msgs []dag.MsgID, assign []int, nMsgs int) []int {
 	for _, m := range msgs {
-		r := assign[m]
-		dup := false
-		for _, seen := range rounds {
-			if seen == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			rounds = append(rounds, r)
+		dst = append(dst, int(m))
+		marks[assign[m]] = true
+	}
+	for r, on := range marks {
+		if on {
+			dst = append(dst, nMsgs+r)
+			marks[r] = false
 		}
 	}
-	sort.Ints(rounds)
-	for _, r := range rounds {
-		floods = append(floods, nMsgs+r)
-	}
-	return floods
+	return dst
 }
 
 // errBoundPruned reports that the timing search was cut off by the
@@ -401,20 +393,30 @@ func skippableSearchErr(err error) bool {
 	return err == errBoundPruned || err == errDominated || errors.Is(err, solver.ErrCanceled)
 }
 
-// scheduleForAssignment runs steps 2 and 3 for one round assignment.
-// bound, when >= 0, is the makespan of the best schedule found so far; it
-// is fed to the timing search as an upper bound so hopeless branches are
-// cut early. A bound-induced dead end returns errBoundPruned.
-func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound int64) (*Schedule, error) {
+// scratch is one search consumer's reusable per-assignment state — the
+// inline Workers = 1 path, or one pool worker: the χ instance a memo
+// miss fills in place, and the placement template. It is never shared
+// between goroutines, and its zero value is ready to use.
+type scratch struct {
+	chi chiInstance
+	tpl placeTemplate
+}
+
+// scheduleForAssignment runs steps 2 and 3 for one round assignment on
+// the consumer's scratch. bound, when >= 0, is the makespan of the best
+// schedule found so far; it is fed to the timing search as an upper
+// bound so hopeless branches are cut early. A bound-induced dead end
+// returns errBoundPruned.
+func (p *Problem) scheduleForAssignment(ctx context.Context, sc *scratch, assign []int, bound int64) (*Schedule, error) {
 	rounds := roundCount(assign)
-	ent := p.chiFor(assign, rounds)
+	ent := p.chiFor(&sc.chi, assign, rounds)
 	if ent.err != nil {
 		return nil, ent.err
 	}
 	if len(p.iclasses) > 0 && p.dominatedAssignment(assign, ent.chi) {
 		return nil, errDominated
 	}
-	sched, err := p.place(ctx, assign, ent.chi, rounds, bound)
+	sched, err := p.place(ctx, &sc.tpl, assign, ent.chi, rounds, bound)
 	if err == nil {
 		sched.ChiExact = ent.exact
 	}
@@ -424,20 +426,23 @@ func (p *Problem) scheduleForAssignment(ctx context.Context, assign []int, bound
 // chiFor returns the solved χ entry of assign's instance, or the
 // per-task error that makes every instance of the solve unsatisfiable.
 // With the memo on, the key comes straight from the assignment, so a hit
-// builds no instance; a miss builds and solves it and stores the entry.
-func (p *Problem) chiFor(assign []int, rounds int) chiMemoEntry {
+// builds no instance; a miss fills ci, the consumer's χ scratch, solves
+// it and stores the entry.
+func (p *Problem) chiFor(ci *chiInstance, assign []int, rounds int) chiMemoEntry {
 	if p.chiErr != nil {
 		return chiMemoEntry{err: p.chiErr}
 	}
 	if p.chiMemo == nil {
-		return p.chiInstance(assign, rounds).solveEntry(p.GreedyChi)
+		p.fillChi(ci, assign, rounds)
+		return ci.solveEntry(p.GreedyChi)
 	}
 	var buf [512]byte
 	key := p.chiKey(buf[:0], assign, rounds)
 	if ent, ok := p.chiMemo.get(key); ok {
 		return ent
 	}
-	ent := p.chiInstance(assign, rounds).solveEntry(p.GreedyChi)
+	p.fillChi(ci, assign, rounds)
+	ent := ci.solveEntry(p.GreedyChi)
 	p.chiMemo.put(key, ent)
 	return ent
 }
@@ -465,9 +470,11 @@ func (p *Problem) chiKey(key []byte, assign []int, rounds int) []byte {
 	return key
 }
 
-// chiInstance builds the χ covering instance of a round assignment:
+// fillChi fills ci with the χ covering instance of a round assignment:
 // every flood at its χ domain, each constraint of chiCons over its
 // predFloods, and weakly-hard window floors on the floods they cover.
+// Everything goes into ci's own storage, every flood list into one flat
+// buffer, so refilling a consumer's warm scratch allocates nothing.
 //
 // Per-flood tables alias the normalize-time caches: the deficit column
 // is flood-independent and the cost column depends only on width, so one
@@ -477,21 +484,26 @@ func (p *Problem) chiKey(key []byte, assign []int, rounds int) []byte {
 // durations under ObjectiveMakespan, exact flood charges under
 // ObjectiveEnergy (both columns are increasing in χ, which the covering
 // solver requires).
-func (p *Problem) chiInstance(assign []int, rounds int) *chiInstance {
+func (p *Problem) fillChi(ci *chiInstance, assign []int, rounds int) {
 	nMsgs := len(p.msgs)
 	nFloods := nMsgs + rounds
 	costTab := p.costByWidth
 	if p.Objective == ObjectiveEnergy {
 		costTab = p.chargeByWidth
 	}
-	ci := &chiInstance{
-		n:     nFloods,
-		upper: p.MaxNTX,
-		lower: make([]int, nFloods),
-		def:   make([][]float64, nFloods),
-		cost:  make([][]int64, nFloods),
-		cons:  make([]chiConstraint, len(p.chiCons)),
+	ci.n, ci.upper = nFloods, p.MaxNTX
+	ci.lower = reuse(ci.lower, nFloods)
+	ci.def = reuse(ci.def, nFloods)
+	ci.cost = reuse(ci.cost, nFloods)
+	ci.cons = reuse(ci.cons, len(p.chiCons))
+	ci.roundMarks = reuse(ci.roundMarks, rounds)
+	// A flood list holds a constraint's messages and at most as many
+	// beacons, so the flat buffer never grows mid-fill.
+	size := 0
+	for i := range p.chiCons {
+		size += 2 * len(p.chiCons[i].msgs)
 	}
+	ci.floods = reuse(ci.floods, size)
 	beaconCost := costTab[p.Params.BeaconWidth]
 	for f := 0; f < nFloods; f++ {
 		ci.lower[f] = p.MinNTX
@@ -502,8 +514,11 @@ func (p *Problem) chiInstance(assign []int, rounds int) *chiInstance {
 			ci.cost[f] = beaconCost
 		}
 	}
+	flat := ci.floods[:0]
 	for i, c := range p.chiCons {
-		floods := predFloods(c.msgs, assign, nMsgs)
+		start := len(flat)
+		flat = predFloods(flat, ci.roundMarks, c.msgs, assign, nMsgs)
+		floods := flat[start:len(flat):len(flat)]
 		// Window bound: every predecessor flood's guarantee window must
 		// cover the requirement's (the ⊕ window is the minimum over
 		// predecessors, and eq. 10 needs it >= F.Window).
@@ -512,7 +527,6 @@ func (p *Problem) chiInstance(assign []int, rounds int) *chiInstance {
 		}
 		ci.cons[i] = chiConstraint{task: c.task, floods: floods, budget: c.budget}
 	}
-	return ci
 }
 
 // minNTXForWindow returns the smallest n with λ_WH(n).Window >= w.
@@ -525,38 +539,129 @@ func (p *Problem) minNTXForWindow(w int) (int, bool) {
 	return 0, false
 }
 
-// place runs the exact timing search for fixed (l, χ) and assembles the
-// Schedule. bound, when >= 0, is the incumbent's scalar under the active
-// objective — a makespan under ObjectiveMakespan (applied directly via
-// solver.MakespanBound), an energy in pC under ObjectiveEnergy (translated
-// into a derived makespan cap below) — so the branch-and-bound is cut off
-// by schedules already found for other assignments; a search the bound
-// renders infeasible returns errBoundPruned. Problem.MakespanCap, the hard
-// feasibility cap the Pareto sweep constrains with, is applied on top.
-// When the node budget truncates a search under the *incumbent-derived*
-// bound, the search is redone without it: the bound value depends on which
-// worker found the incumbent first, and a truncated result must not, or
-// parallel runs would stop being reproducible (MakespanCap is part of the
-// problem, not a racing artifact, so the redo keeps it). A canceled search
-// is never redone; its incumbent (if any) is returned as a non-optimal
-// schedule.
-func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, bound int64) (*Schedule, error) {
+// placeTemplate is one search consumer's timing problem (DESIGN §16).
+// Only the rounds, their durations and the (4c) edges depend on the
+// assignment, so the fixed part — the task activities (IDs 0..T−1), the
+// (4a) precedences, the deadlines and the release times — is built on
+// the consumer's first placement and marked. Each placement adds its
+// round activities (IDs T..T+R−1), the (4b) and (4c) edges, the
+// task×round disjunctions in task-major order and the makespan bound on
+// top, and search rolls them back before it returns. The branch and
+// bound cannot tell this from a build from scratch: it reads only STN
+// distances, which are the unique least solution whatever the insertion
+// order, and the disjunctions, which keep their order. A fixed part
+// that its deadlines make inconsistent stays so across rollbacks, and
+// every placement fails at the root, as it does from scratch. The zero
+// value builds on first use; a template serves one Problem and one
+// goroutine.
+type placeTemplate struct {
+	prob  *solver.Problem
+	fixed int      // the solver mark after the fixed part
+	dur   []int64  // the placement's round durations, eq. (3)
+	names []string // round activity names, extended on first use
+}
+
+// build adds the fixed part to a new timing problem and marks it.
+func (t *placeTemplate) build(p *Problem) {
+	prob := solver.NewProblem(1)
+	// Task i is activity i: TaskIDs are dense indices.
+	for i := range p.tasks {
+		prob.AddActivity(p.tasks[i].Name, p.tasks[i].WCET)
+	}
+	// (4a) task precedence.
+	for i, succs := range p.succs {
+		for _, s := range succs {
+			prob.Precede(solver.ActID(i), solver.ActID(s))
+		}
+	}
+	// Task-level deadlines and release times (ζ constraints).
+	for id, d := range p.Deadlines {
+		prob.Deadline(solver.ActID(id), d)
+	}
+	for id, rel := range p.ReleaseTimes {
+		prob.Release(solver.ActID(id), rel)
+	}
+	t.prob, t.fixed = prob, prob.Mark()
+}
+
+// roundName returns round r's activity name.
+func (t *placeTemplate) roundName(r int) string {
+	for len(t.names) <= r {
+		t.names = append(t.names, "round"+strconv.Itoa(len(t.names)))
+	}
+	return t.names[r]
+}
+
+// search adds the placement of assign, with round durations dur, to the
+// fixed part, runs the timing search under the makespan cap eff (-1 for
+// none), and rolls the placement back on every return.
+func (t *placeTemplate) search(ctx context.Context, p *Problem, assign []int, dur []int64, eff int64) (solver.Result, error) {
+	if t.prob == nil {
+		t.build(p)
+	}
+	prob := t.prob
+	defer prob.Reset(t.fixed)
+	nTasks, rounds := len(p.tasks), len(dur)
+	round := func(r int) solver.ActID { return solver.ActID(nTasks + r) }
+	for r, d := range dur {
+		prob.AddActivity(t.roundName(r), d)
+	}
+	// (4b) rounds totally ordered.
+	for r := 1; r < rounds; r++ {
+		prob.Precede(round(r-1), round(r))
+	}
+	// (4c) producers before the round; consumers after.
+	for _, m := range p.msgs {
+		r := round(assign[m.ID])
+		prob.Precede(solver.ActID(m.Source), r)
+		for _, c := range m.Dests {
+			prob.Precede(r, solver.ActID(c))
+		}
+	}
+	// (5) tasks never overlap communication.
+	for a := 0; a < nTasks; a++ {
+		for r := 0; r < rounds; r++ {
+			prob.Disjoint(solver.ActID(a), round(r))
+		}
+	}
+	if eff >= 0 {
+		prob.MakespanBound(eff)
+	}
+	if p.GreedyPlacement {
+		return prob.Greedy()
+	}
+	return prob.MinimizeContext(ctx, p.SolverNodes)
+}
+
+// place runs the exact timing search for fixed (l, χ) on the consumer's
+// template and, when it finds a placement, assembles the Schedule; a
+// placement that loses allocates nothing. bound, when >= 0, is the
+// incumbent's scalar under the active objective — a makespan under
+// ObjectiveMakespan (applied directly via solver.MakespanBound), an
+// energy in pC under ObjectiveEnergy (translated into a derived makespan
+// cap below) — so the branch-and-bound is cut off by schedules already
+// found for other assignments; a search the bound renders infeasible
+// returns errBoundPruned. Problem.MakespanCap, the hard feasibility cap
+// the Pareto sweep constrains with, is applied on top. When the node
+// budget truncates a search under the *incumbent-derived* bound (ErrBudget,
+// or a schedule with Optimal = false), the search is redone without it:
+// the bound value depends on which worker found the incumbent first, and
+// a truncated result must not, or parallel runs would stop being
+// reproducible (MakespanCap is part of the problem, not a racing
+// artifact, so the redo keeps it). A canceled search is never redone;
+// its incumbent (if any) is returned as a non-optimal schedule.
+func (p *Problem) place(ctx context.Context, tpl *placeTemplate, assign, chi []int, rounds int, bound int64) (*Schedule, error) {
 	msgs := p.msgs
 	nMsgs := len(msgs)
 
 	// Round durations per eq. (3): beacon term + slot terms.
-	roundDur := make([]int64, rounds)
-	roundSlots := make([][]Slot, rounds)
+	tpl.dur = reuse(tpl.dur, rounds)
+	roundDur := tpl.dur
 	for r := 0; r < rounds; r++ {
 		roundDur[r] = p.Params.BeaconDuration(chi[nMsgs+r], p.Diameter)
 	}
 	for _, m := range msgs {
-		r := assign[m.ID]
-		d := p.Params.SlotDuration(chi[m.ID], m.Width, p.Diameter)
-		roundDur[r] += d
-		roundSlots[r] = append(roundSlots[r], Slot{
-			Msg: m.ID, NTX: chi[m.ID], Width: m.Width, Duration: d,
-		})
+		roundDur[assign[m.ID]] += p.Params.SlotDuration(chi[m.ID], m.Width, p.Diameter)
 	}
 
 	// The timing search minimizes makespan. Under ObjectiveEnergy that is
@@ -596,61 +701,12 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 		eff = p.MakespanCap
 	}
 
-	prob := solver.NewProblem(1)
-	// TaskIDs are dense indices, so a slice beats a map on the
-	// per-assignment hot path (place runs once per enumerated round
-	// assignment, and every precedence/disjunction below consults it).
-	taskAct := make([]solver.ActID, len(p.tasks))
-	for i := range p.tasks {
-		taskAct[i] = prob.AddActivity(p.tasks[i].Name, p.tasks[i].WCET)
-	}
-	roundAct := make([]solver.ActID, rounds)
-	for r := 0; r < rounds; r++ {
-		roundAct[r] = prob.AddActivity(fmt.Sprintf("round%d", r), roundDur[r])
-	}
-	// (4a) task precedence.
-	for i, succs := range p.succs {
-		for _, s := range succs {
-			prob.Precede(taskAct[i], taskAct[s])
-		}
-	}
-	// (4b) rounds totally ordered.
-	for r := 1; r < rounds; r++ {
-		prob.Precede(roundAct[r-1], roundAct[r])
-	}
-	// (4c) producers before the round; consumers after.
-	for _, m := range msgs {
-		r := assign[m.ID]
-		prob.Precede(taskAct[m.Source], roundAct[r])
-		for _, c := range m.Dests {
-			prob.Precede(roundAct[r], taskAct[c])
-		}
-	}
-	// (5) tasks never overlap communication.
-	for _, a := range taskAct {
-		for r := 0; r < rounds; r++ {
-			prob.Disjoint(a, roundAct[r])
-		}
-	}
-	// Task-level deadlines and release times (ζ constraints).
-	for id, d := range p.Deadlines {
-		prob.Deadline(taskAct[id], d)
-	}
-	for id, rel := range p.ReleaseTimes {
-		prob.Release(taskAct[id], rel)
-	}
-	if eff >= 0 {
-		prob.MakespanBound(eff)
-	}
-	var res solver.Result
-	var err error
+	res, err := tpl.search(ctx, p, assign, roundDur, eff)
 	if p.GreedyPlacement {
-		res, err = prob.Greedy()
 		if errors.Is(err, solver.ErrBounded) {
 			return nil, errBoundPruned
 		}
 	} else {
-		res, err = prob.MinimizeContext(ctx, p.SolverNodes)
 		canceled := errors.Is(err, solver.ErrCanceled)
 		if canceled && res.Makespan >= 0 {
 			// Cancellation struck after a feasible placement was found:
@@ -663,8 +719,9 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 		}
 		if mk >= 0 && !canceled && (errors.Is(err, solver.ErrBudget) || (err == nil && !res.Optimal)) {
 			// Redo without the incumbent-derived bound only: the
-			// MakespanCap, being deterministic, stays via eff.
-			return p.place(ctx, assign, chi, rounds, -1)
+			// MakespanCap, being deterministic, stays via eff. search
+			// has already rolled the bounded placement back.
+			return p.place(ctx, tpl, assign, chi, rounds, -1)
 		}
 	}
 	if errors.Is(err, solver.ErrCanceled) {
@@ -673,32 +730,59 @@ func (p *Problem) place(ctx context.Context, assign, chi []int, rounds int, boun
 	if err != nil {
 		return nil, fmt.Errorf("core: timing search failed: %w", err)
 	}
+	return p.assemble(res, assign, chi, roundDur), nil
+}
 
+// assemble builds the Schedule of a placement with round durations dur.
+// Each round's slots are in message order, all from one backing array
+// and capped so that an append cannot spill into the next round's; a
+// round without slots keeps Slots == nil, and a schedule without rounds
+// Rounds == nil.
+func (p *Problem) assemble(res solver.Result, assign, chi []int, dur []int64) *Schedule {
+	msgs := p.msgs
+	nMsgs, nTasks := len(msgs), len(p.tasks)
 	sched := &Schedule{
 		Mode:   p.Mode,
-		Tasks:  make(map[dag.TaskID]TaskTime, len(p.tasks)),
+		Tasks:  make(map[dag.TaskID]TaskTime, nTasks),
 		Assign: append([]int(nil), assign...),
 	}
 	for i := range p.tasks {
 		t := &p.tasks[i]
-		st := res.Starts[taskAct[i]]
+		st := res.Starts[i]
 		sched.Tasks[t.ID] = TaskTime{Task: t.ID, Start: st, Finish: st + t.WCET}
 	}
-	for r := 0; r < rounds; r++ {
-		sched.Rounds = append(sched.Rounds, Round{
-			Index:     r,
-			Start:     res.Starts[roundAct[r]],
-			Duration:  roundDur[r],
-			BeaconNTX: chi[nMsgs+r],
-			Slots:     roundSlots[r],
-		})
-		sched.BusTime += roundDur[r]
+	if len(dur) > 0 {
+		sched.Rounds = make([]Round, len(dur))
+		slots := make([]Slot, 0, nMsgs)
+		for r := range sched.Rounds {
+			lo := len(slots)
+			for _, m := range msgs {
+				if assign[m.ID] == r {
+					slots = append(slots, Slot{
+						Msg: m.ID, NTX: chi[m.ID], Width: m.Width,
+						Duration: p.Params.SlotDuration(chi[m.ID], m.Width, p.Diameter),
+					})
+				}
+			}
+			var rs []Slot
+			if hi := len(slots); hi > lo {
+				rs = slots[lo:hi:hi]
+			}
+			sched.Rounds[r] = Round{
+				Index:     r,
+				Start:     res.Starts[nTasks+r],
+				Duration:  dur[r],
+				BeaconNTX: chi[nMsgs+r],
+				Slots:     rs,
+			}
+			sched.BusTime += dur[r]
+		}
 	}
 	sched.Makespan = res.Makespan
 	sched.Optimal = res.Optimal
 	sched.SolverNodes = res.Nodes
 	sched.EnergyPC = p.scheduleEnergyPC(sched)
-	return sched, nil
+	return sched
 }
 
 // MinMakespan returns only the optimal makespan for the problem — the

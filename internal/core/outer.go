@@ -64,11 +64,13 @@ type job struct {
 	assign []int
 }
 
-// searchOut is one consumer's share of the search: its best candidate
-// and its first error in enumeration order.
+// searchOut is one consumer's share of the search: its best candidate,
+// its first error in enumeration order, and the scratch its assignments
+// are evaluated on.
 type searchOut struct {
 	best     *candidate
 	firstErr *searchErr
+	sc       scratch
 }
 
 // run evaluates the round assignments on `workers` consumers and reduces
@@ -186,7 +188,7 @@ func (s *search) run(workers int) (*candidate, *searchErr) {
 // under the incumbent-derived bound, publishes the schedule, and keeps it
 // as out's best or records its error as out's first.
 func (s *search) evaluate(out *searchOut, assign []int, idx int, bound int64) {
-	sched, err := s.p.scheduleForAssignment(s.ctx, assign, bound)
+	sched, err := s.p.scheduleForAssignment(s.ctx, &out.sc, assign, bound)
 	if err != nil {
 		if errors.Is(err, solver.ErrCanceled) {
 			s.interrupted.Store(true)

@@ -81,8 +81,11 @@ func TestTierCutWorkCount(t *testing.T) {
 
 // TestOuterSearchAllocations gates the allocations of the outer search:
 // the admissibility bound allocates nothing under either objective, and
-// a whole pipe8 solve at Workers = 1 stays under 7,000 allocations, where
-// it took 12,870 before losing assignments stopped allocating.
+// whole solves at Workers = 1 stay under their gates. A pipe8 solve took
+// 12,870 allocations before losing assignments stopped allocating and
+// 5,442 before each consumer kept one placement template and one χ
+// scratch; it is gated at 1,000. av-heavy took 38,773 then and is gated
+// at 1,500.
 func TestOuterSearchAllocations(t *testing.T) {
 	for _, obj := range []Objective{ObjectiveMakespan, ObjectiveEnergy} {
 		p := pipe8Problem(t)
@@ -97,22 +100,30 @@ func TestOuterSearchAllocations(t *testing.T) {
 		})
 	}
 
-	p := pipe8Problem(t)
-	p.Workers = 1
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Solve(p); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		gate float64
+	}{
+		{"pipe8", pipe8Problem(t), 1000},
+		{"av-heavy", avHeavyProblem(t, false, false), 1500},
+	} {
+		tc.p.Workers = 1
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Solve(tc.p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s Solve at Workers = 1: %.0f allocations", tc.name, allocs)
+		if allocs > tc.gate {
+			t.Errorf("%s Solve at Workers = 1 allocates %.0f times, want at most %.0f", tc.name, allocs, tc.gate)
 		}
-	})
-	t.Logf("pipe8 Solve at Workers = 1: %.0f allocations", allocs)
-	if allocs > 7000 {
-		t.Errorf("pipe8 Solve at Workers = 1 allocates %.0f times, want at most 7,000", allocs)
 	}
 }
 
 // referenceSolve is the outer search with nothing skipped: it schedules
-// every enumerated assignment without an incumbent bound and reduces
-// with betterCand. scheduleForAssignment still applies MakespanCap and
+// every enumerated assignment without an incumbent bound, each on a
+// one-off scratch, and reduces with betterCand. scheduleForAssignment still applies MakespanCap and
 // the symmetry skip, which are part of the problem and of the
 // per-assignment search. It returns the winner, the enumeration size
 // and Solve's error when nothing wins.
@@ -135,7 +146,7 @@ func referenceSolve(t *testing.T, p *Problem) (*Schedule, int, error) {
 	lg.EnumerateAssignments(maxRounds, func(l []int) bool {
 		idx := n
 		n++
-		sched, err := p.scheduleForAssignment(context.Background(), l, -1)
+		sched, err := p.scheduleForAssignment(context.Background(), &scratch{}, l, -1)
 		if err != nil {
 			if !skippableSearchErr(err) && firstErr == nil {
 				firstErr = err

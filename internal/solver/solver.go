@@ -6,9 +6,15 @@
 // This is the role Z3/Gurobi play in the paper's implementation: the
 // NETDAG feasibility conditions (eq. 4, 5) are difference constraints
 // plus binary non-overlap disjunctions, exactly the fragment this solver
-// decides. The branch-and-bound search is exact; Greedy provides the
-// polynomial heuristic used in the A3 ablation and as a fallback for
-// instances beyond the exact solver's budget.
+// decides. The branch-and-bound search is exact. A search that runs out
+// of its node budget says so (ErrBudget, or Optimal = false); nothing
+// falls back to Greedy, the polynomial heuristic that only the A3
+// ablation runs.
+//
+// Like the STN beneath it, a Problem is incremental: Mark and Reset
+// checkpoint and roll back activities, constraints and disjunctions, so
+// a caller solving many instances that share a fixed part builds that
+// part once and adds only the rest per instance.
 package solver
 
 import (
@@ -31,6 +37,14 @@ type Problem struct {
 	disj    [][2]ActID
 	gap     int64
 	bounded bool // a MakespanBound was imposed externally
+	marks   []checkpoint
+}
+
+// checkpoint is the state one Mark saves: the activity and disjunction
+// counts, the bounded flag, and the STN mark.
+type checkpoint struct {
+	acts, disj, net int
+	bounded         bool
 }
 
 // Result is a schedule: start times per activity and the achieved
@@ -142,6 +156,34 @@ func (p *Problem) Disjoint(a, b ActID) {
 		panic("solver: activity cannot be disjoint from itself")
 	}
 	p.disj = append(p.disj, [2]ActID{a, b})
+}
+
+// Mark checkpoints the instance; Reset(mark) removes every activity,
+// constraint, disjunction and makespan bound added after the
+// corresponding Mark, mirroring the STN's Mark and Reset. Marks nest: a
+// mark stays valid across Resets to it and to later marks, and Reset
+// drops the marks taken after it.
+func (p *Problem) Mark() int {
+	p.marks = append(p.marks, checkpoint{
+		acts: len(p.start), disj: len(p.disj), net: p.net.Mark(), bounded: p.bounded,
+	})
+	return len(p.marks) - 1
+}
+
+// Reset rolls the instance back to a previous Mark in O(changes since
+// the mark). It panics on a mark that Mark did not return or that an
+// earlier Reset dropped.
+func (p *Problem) Reset(mark int) {
+	if mark < 0 || mark >= len(p.marks) {
+		panic(fmt.Sprintf("solver: bad mark %d", mark))
+	}
+	c := p.marks[mark]
+	p.marks = p.marks[:mark+1]
+	p.net.Reset(c.net)
+	p.start = p.start[:c.acts]
+	p.dur = p.dur[:c.acts]
+	p.disj = p.disj[:c.disj]
+	p.bounded = c.bounded
 }
 
 func (p *Problem) check(a ActID) {

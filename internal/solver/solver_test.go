@@ -486,3 +486,98 @@ func TestCanonicalSearchPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkResetMatchesFreshBuild pins Mark and Reset: a fixed part built
+// once, with random instances added on top of its mark and rolled back
+// each time, solves every instance exactly as a fresh build of the same
+// constraints does — the Result, node count included, or the error. The
+// instances add activities, precedences, disjunctions and sometimes a
+// makespan bound or a cycle, so a Reset that left any of them behind, or
+// the bounded flag set, would change a later answer. A nested mark inside
+// an instance rolls back to the instance, not to the fixed part.
+func TestMarkResetMatchesFreshBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const fixedActs = 4
+	fixedDur := []int64{30, 12, 25, 8}
+	buildFixed := func() *Problem {
+		p := NewProblem(1)
+		for _, d := range fixedDur {
+			p.AddActivity("task", d)
+		}
+		p.Precede(0, 1)
+		p.Release(2, 7)
+		p.Deadline(3, 200)
+		return p
+	}
+	type instance struct {
+		durs  []int64
+		prec  [][2]ActID
+		disj  [][2]ActID
+		bound int64
+	}
+	addInstance := func(p *Problem, in instance) {
+		for _, d := range in.durs {
+			p.AddActivity("round", d)
+		}
+		for _, e := range in.prec {
+			p.Precede(e[0], e[1])
+		}
+		for _, d := range in.disj {
+			p.Disjoint(d[0], d[1])
+		}
+		if in.bound >= 0 {
+			p.MakespanBound(in.bound)
+		}
+	}
+	reused := buildFixed()
+	fixed := reused.Mark()
+	for trial := 0; trial < 300; trial++ {
+		in := instance{bound: -1}
+		n := 1 + rng.Intn(3)
+		for r := 0; r < n; r++ {
+			in.durs = append(in.durs, int64(5+rng.Intn(20)))
+			round := ActID(fixedActs + r)
+			if r > 0 {
+				in.prec = append(in.prec, [2]ActID{round - 1, round})
+			}
+			in.prec = append(in.prec, [2]ActID{ActID(rng.Intn(fixedActs)), round})
+			for a := 0; a < fixedActs; a++ {
+				in.disj = append(in.disj, [2]ActID{ActID(a), round})
+			}
+		}
+		if rng.Intn(2) == 0 {
+			in.bound = int64(40 + rng.Intn(120))
+		}
+		if rng.Intn(5) == 0 {
+			// A cycle: infeasible, reported as ErrBounded only under a bound.
+			round := ActID(fixedActs)
+			in.prec = append(in.prec, [2]ActID{3, round}, [2]ActID{round, 3})
+		}
+		budget := 0
+		if rng.Intn(4) == 0 {
+			budget = 1 + rng.Intn(5)
+		}
+		fresh := buildFixed()
+		addInstance(fresh, in)
+		want, wantErr := fresh.Minimize(budget)
+
+		addInstance(reused, in)
+		if rng.Intn(3) == 0 {
+			// A nested mark: an extra ordering, rolled back to the
+			// instance before it is solved.
+			inner := reused.Mark()
+			reused.AddActivity("extra", 50)
+			reused.Precede(ActID(fixedActs), ActID(fixedActs+n))
+			reused.MakespanBound(10)
+			reused.Reset(inner)
+		}
+		got, gotErr := reused.Minimize(budget)
+		reused.Reset(fixed)
+		if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused %+v, %v; fresh %+v, %v", trial, got, gotErr, want, wantErr)
+		}
+		if reused.NumActivities() != fixedActs {
+			t.Fatalf("trial %d: %d activities after Reset, want %d", trial, reused.NumActivities(), fixedActs)
+		}
+	}
+}

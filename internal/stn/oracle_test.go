@@ -155,6 +155,62 @@ func TestDifferentialRandomSequences(t *testing.T) {
 	}
 }
 
+// TestDifferentialVariableChurn cross-checks the engine against the
+// oracle after every operation of random programs that create and roll
+// back more variables than the arena carves (24 ordinary ones), many
+// times over, so most NewVars take over the adjacency list of a
+// rolled-back variable, some of them grown past their carve. A list
+// that kept a stale arc would show as a distance the oracle, which
+// reads every list, disagrees with.
+func TestDifferentialVariableChurn(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(5000 + trial)))
+		s := New()
+		var buf []int64
+		base := s.NewVar("base")
+		s.AddMin(base, Zero, int64(rng.Intn(20)))
+		buf = checkAgainstOracle(t, s, buf)
+		fixed := s.Mark()
+		created, peak := 0, 0
+		for cycle := 0; cycle < 12; cycle++ {
+			inner := -1
+			for op := 0; op < 60; op++ {
+				switch r := rng.Float64(); {
+				case r < 0.45:
+					v := s.NewVar("v")
+					created++
+					// An arc out of the new variable, and sometimes a fan of
+					// them that outgrows its carve.
+					for k := 0; k < 1+rng.Intn(3)*rng.Intn(6); k++ {
+						s.AddMin(VarID(1+rng.Intn(s.NumVars()-1)), v, int64(rng.Intn(41)-20))
+					}
+				case r < 0.85:
+					u := VarID(rng.Intn(s.NumVars()))
+					v := VarID(rng.Intn(s.NumVars()))
+					s.AddMin(v, u, int64(rng.Intn(41)-20))
+				case r < 0.92:
+					inner = s.Mark()
+				default:
+					if inner >= 0 {
+						s.Reset(inner)
+						inner = -1
+					}
+				}
+				peak = max(peak, s.NumVars())
+				buf = checkAgainstOracle(t, s, buf)
+			}
+			s.Reset(fixed)
+			if s.NumVars() != 2 {
+				t.Fatalf("trial %d cycle %d: Reset left %d vars", trial, cycle, s.NumVars())
+			}
+			buf = checkAgainstOracle(t, s, buf)
+		}
+		if created <= 24 || peak <= 24 {
+			t.Fatalf("trial %d: created %d variables, at most %d at once; the arena is never outgrown", trial, created, peak)
+		}
+	}
+}
+
 // TestDifferentialInconsistentRecovery focuses the differential check on
 // the trail's hardest job: restoring exact distances after the engine
 // passed through an inconsistent state, repeatedly.

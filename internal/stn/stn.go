@@ -23,8 +23,12 @@
 // Adjacency lists keep arcs contiguous per variable (the propagation
 // loop is a sequential scan), with their initial capacity carved from a
 // preallocated arena so that building a paper-scale instance performs
-// only a handful of allocations; a branch-and-bound search that pushes
-// and pops constraints at a stable depth allocates nothing at all.
+// only a handful of allocations. Carving only moves forward; a variable
+// that Reset rolled back leaves its list behind, and the next NewVar at
+// that ID takes it over instead of carving again. So a branch-and-bound
+// search that pushes and pops constraints at a stable depth allocates
+// nothing at all, and neither does a caller that re-creates the same
+// variables above a Mark after every Reset.
 //
 // Reads are zero-allocation: Dist returns one maintained distance,
 // EarliestInto snapshots into a caller-owned buffer, and Consistent is
@@ -159,11 +163,18 @@ func (s *STN) carve(n int) []arc {
 }
 
 // NewVar adds a time variable constrained to s(v) >= 0 and returns its
-// ID.
+// ID. The adjacency list of a variable that Reset rolled back at this ID
+// is reused (Reset leaves it empty), so re-creating variables allocates
+// nothing once their lists have grown.
 func (s *STN) NewVar(name string) VarID {
 	id := VarID(len(s.vs))
 	s.names = append(s.names, name)
-	s.out = append(s.out, s.carve(varChunk))
+	if len(s.out) < cap(s.out) && s.out[:id+1][id] != nil {
+		s.out = s.out[:id+1]
+		s.out[id] = s.out[id][:0]
+	} else {
+		s.out = append(s.out, s.carve(varChunk))
+	}
 	s.vs = append(s.vs, varState{})
 	s.cons = append(s.cons, conRec{u: Zero, trailLen: len(s.trail), newVar: true})
 	s.out[Zero] = append(s.out[Zero], arc{v: id, w: 0})

@@ -395,6 +395,9 @@ func TestQuickEarliestSatisfiesAllConstraints(t *testing.T) {
 // the branch and bound runs per node at zero allocations: a push that
 // shifts a 50-variable chain inside Mark/Reset, an implied push, an
 // inconsistent push and its pop, and EarliestInto into a reused buffer.
+// A fifth cycle is the one a caller with a reusable fixed part runs per
+// instance: 30 NewVars, more than the arena carves, each with an AddMin
+// from it, then a Reset that rolls them all back.
 func TestIncrementalOpsAllocationFree(t *testing.T) {
 	chain := func() (*STN, VarID, VarID) {
 		s := New()
@@ -419,6 +422,7 @@ func TestIncrementalOpsAllocationFree(t *testing.T) {
 	implied, ia, ib := pair()
 	broken, ba, bb := pair()
 	snap, _, _ := chain()
+	recreate, anchor, _ := pair()
 	buf := make([]int64, 0, 64)
 	for _, op := range []struct {
 		name string
@@ -444,6 +448,17 @@ func TestIncrementalOpsAllocationFree(t *testing.T) {
 				t.Fatal("positive cycle undetected")
 			}
 			broken.Reset(mark)
+		}},
+		{"NewVar, AddMin from it, Reset", func() {
+			mark := recreate.Mark()
+			for i := 0; i < 30; i++ {
+				v := recreate.NewVar("v")
+				recreate.AddMin(anchor, v, int64(i))
+			}
+			if recreate.Dist(anchor) != 29 {
+				t.Fatalf("Dist(anchor) = %d, want 29", recreate.Dist(anchor))
+			}
+			recreate.Reset(mark)
 		}},
 		{"EarliestInto a reused buffer", func() {
 			out, err := snap.EarliestInto(buf)
