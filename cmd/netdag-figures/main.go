@@ -1,158 +1,26 @@
-// Command netdag-figures regenerates every evaluation artifact (Table I,
-// the §IV-A validation tables, figs. 2-4, the ablations) and writes each
-// as a CSV file into the output directory — the one-shot reproduction
-// driver behind EXPERIMENTS.md.
+// Command netdag-figures regenerates the paper record: every table and
+// figure of the evaluation (Table I, the §IV-A validation, figs. 2-4) and
+// every ablation, one CSV file each, the files EXPERIMENTS.md quotes.
+// Run from the repository root, it rewrites the committed record in
+// examples/figures; the internal/figures tests check that copy byte for
+// byte.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"github.com/netdag/netdag/internal/expt"
 	"github.com/netdag/netdag/internal/figures"
 )
 
 func main() {
-	outDir := flag.String("out", "figures-out", "output directory for CSV files")
-	episodes := flag.Int("episodes", 100, "episodes per fig. 3 grid cell")
-	runs := flag.Int("runs", 10000, "validation runs")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	workers := flag.Int("workers", 0, "parallel round-assignment search workers (0 = GOMAXPROCS, 1 = sequential)")
+	outDir := flag.String("out", "examples/figures", "output directory for the CSV files")
+	workers := flag.Int("workers", 0, "parallel round-assignment search workers (0 = GOMAXPROCS, 1 = sequential); the record is the same for every value")
 	flag.Parse()
-	figures.Workers = *workers
-
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
+	if err := figures.WriteRecord(*outDir, *workers); err != nil {
+		fmt.Fprintln(os.Stderr, "netdag-figures:", err)
+		os.Exit(1)
 	}
-	write := func(name string, tab *expt.Table) {
-		path := filepath.Join(*outDir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := tab.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
-	}
-
-	// Table I + bridge.
-	t1, err := figures.TableI()
-	if err != nil {
-		fatal(err)
-	}
-	tab := expt.NewTable("", "paradigm", "guarantee", "makespan_us", "bus_us")
-	for _, r := range t1 {
-		tab.Addf("%s\t%s\t%d\t%d", r.Paradigm, r.Guarantee, r.Makespan, r.BusTime)
-	}
-	write("table1.csv", tab)
-
-	tab = expt.NewTable("", "horizon", "probability")
-	for _, r := range figures.TableIBridge() {
-		tab.Addf("%d\t%.6f", r.Horizon, r.Probability)
-	}
-	write("table1_bridge.csv", tab)
-
-	// §IV-A validation.
-	val, err := figures.Validation(*runs, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "task", "target", "scheduled", "statistic", "pass")
-	for _, r := range val.Soft {
-		tab.Addf("%s\t%.4f\t%.4f\t%.4f\t%v", r.Name, r.Target, r.Scheduled, r.Statistic, r.Pass)
-	}
-	write("validation_soft.csv", tab)
-	tab = expt.NewTable("", "task", "requirement", "guarantee", "worst_misses", "pass")
-	for _, r := range val.WH {
-		tab.Addf("%s\t%v\t%v\t%d\t%v", r.Name, r.Requirement, r.Guarantee, r.WorstMisses, r.Pass)
-	}
-	write("validation_wh.csv", tab)
-
-	// Fig. 2.
-	f2, err := figures.Fig2()
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "level", "constrained_actuators", "makespan_us")
-	for _, p := range f2 {
-		tab.Addf("%v\t%d\t%d", p.Level, p.Constrained, p.Makespan)
-	}
-	write("fig2.csv", tab)
-
-	// Fig. 3.
-	f3, err := figures.Fig3(*episodes, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "window", "misses", "mean_steps")
-	for _, c := range f3 {
-		tab.Addf("%d\t%d\t%.2f", c.Window, c.Misses, c.MeanSteps)
-	}
-	write("fig3.csv", tab)
-
-	// Fig. 4.
-	f4, err := figures.Fig4()
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "q", "worst_fss", "diameter", "usable", "latency_us", "charge_uc")
-	for _, p := range f4 {
-		lat := ""
-		if p.Feasible {
-			lat = fmt.Sprintf("%d", p.Latency)
-		}
-		tab.Addf("%.2f\t%.4f\t%d\t%v\t%s\t%.1f", p.Q, p.WorstFSS, p.Diameter, p.Usable, lat, p.RadioChargeUC)
-	}
-	write("fig4.csv", tab)
-
-	// Diameter sensitivity.
-	ds, err := figures.DiameterSweep()
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "diameter", "makespan_us", "bus_us")
-	for _, r := range ds {
-		tab.Addf("%d\t%d\t%d", r.Diameter, r.Makespan, r.BusTime)
-	}
-	write("diameter.csv", tab)
-
-	// Ablations.
-	a2, err := figures.AblationA2()
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "target", "netdag_bus_us", "baseline_bus_us", "netdag_span_us", "baseline_span_us")
-	for _, r := range a2 {
-		tab.Addf("%.2f\t%d\t%d\t%d\t%d", r.Target, r.NETDAGBus, r.BaselineBus, r.NETDAGSpan, r.BaselineSpan)
-	}
-	write("ablation_a2.csv", tab)
-
-	a5, err := figures.AblationA5(1000, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "guard_us", "hit_rate", "beacon_capture", "desync_rate")
-	for _, r := range a5 {
-		tab.Addf("%.0f\t%.4f\t%.4f\t%.4f", r.GuardUS, r.HitRate, r.BeaconRate, r.DesyncRate)
-	}
-	write("ablation_a5.csv", tab)
-
-	a6, err := figures.AblationA6(3000, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	tab = expt.NewTable("", "stack", "design_rate", "mutated_rate")
-	for _, r := range a6 {
-		tab.Addf("%s\t%.4f\t%.4f", r.Stack, r.DesignRate, r.MutatedRate)
-	}
-	write("ablation_a6.csv", tab)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "netdag-figures:", err)
-	os.Exit(1)
+	fmt.Println("netdag-figures: wrote the record to", *outDir)
 }

@@ -1,6 +1,6 @@
-// Package expt provides the small reporting toolkit shared by the
-// experiment binaries and benchmarks: aligned plain-text tables and
-// (x, y) series in the shape the paper's tables and figures report.
+// Package expt provides the table that the command-line tools, the
+// examples and the paper record (internal/figures) report with: aligned
+// plain text for terminals, RFC-4180 CSV for files.
 package expt
 
 import (
@@ -32,9 +32,6 @@ func (t *Table) Add(cells ...string) {
 func (t *Table) Addf(format string, args ...interface{}) {
 	t.Add(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
@@ -104,48 +101,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Series is a labeled (x, y) sequence — one line of a figure.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// MonotoneNonDecreasing reports whether Y never decreases along X order —
-// the shape assertion several figures need.
-func (s *Series) MonotoneNonDecreasing() bool {
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] < s.Y[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// MonotoneNonIncreasing reports whether Y never increases.
-func (s *Series) MonotoneNonIncreasing() bool {
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the series as "label: (x, y) ..." rows.
-func (s *Series) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", s.Label)
-	for i := range s.X {
-		fmt.Fprintf(&b, " (%g, %g)", s.X[i], s.Y[i])
-	}
-	return b.String()
 }

@@ -1,19 +1,28 @@
-// Package figures computes the data behind every table and figure of the
-// paper's evaluation (§IV) plus the DESIGN.md ablations, in one place
-// shared by the experiment binaries, the runnable examples and the
-// benchmark harness. Each function returns structured results; rendering
-// belongs to the callers (internal/expt provides the table/series kit).
+// Package figures computes the paper record: every table and figure of
+// the paper's evaluation (§IV) plus the DESIGN.md ablations.
+// WriteRecord writes it as CSV files, cmd/netdag-figures is the one
+// command that calls it, the committed copy lives in examples/figures,
+// and the package tests check that copy byte for byte. Each experiment function returns
+// structured results; record.go owns every file name, column and
+// precision, and the constants below own every run count and seed.
 //
-// Experiment index (see DESIGN.md §5):
+// Record files (see DESIGN.md §5 and EXPERIMENTS.md):
 //
-//	E1  Table I    — soft vs weakly-hard scheduling of the same app
-//	E2  §IV-A      — schedule validation (eq. 11 soft, eq. 12 weakly hard)
-//	E3  Fig. 2     — MIMO makespan vs incremental weakly-hard constraints
-//	E4  Fig. 3     — cartpole performance under (m,K) fault injection
-//	E5  Fig. 4     — transmission-power design-space exploration
-//	A1             — ⊕ abstraction precision vs exact conjunction
-//	A2             — per-flood χ tuning vs global-N_TX baseline
-//	A3             — exact vs greedy placement
+//	E1   table1.csv         Table I: soft vs weakly-hard scheduling of one app
+//	E1b  table1_bridge.csv  Table I bridge: P(soft task exhibits (6,10))
+//	E2   validation_soft.csv, validation_wh.csv
+//	                        §IV-A validation (eq. 11 soft, eq. 12 weakly hard)
+//	E3   fig2.csv           Fig. 2: MIMO makespan vs weakly-hard constraints
+//	E4   fig3.csv           Fig. 3: cartpole under (m,K) fault injection
+//	E5   fig4.csv           Fig. 4: transmission-power design-space exploration
+//	E5b  fig4_pareto.csv    Fig. 4 + energy axis: per-setting Pareto fronts
+//	E5c  diameter.csv       diameter sensitivity of A_MIMO
+//	A1   ablation_a1.csv    ⊕ abstraction precision vs exact conjunction
+//	A2   ablation_a2.csv    per-flood χ tuning vs global-N_TX baseline
+//	A3   ablation_a3.csv    exact vs greedy placement
+//	A4   ablation_a4.csv    exact vs greedy χ optimization
+//	A5   ablation_a5.csv    abstract vs clock-accurate bus execution
+//	A6   ablation_a6.csv    topology dependence: routed TDMA vs flooded LWB
 package figures
 
 import (
@@ -34,15 +43,24 @@ import (
 	"github.com/netdag/netdag/internal/wh"
 )
 
-// Workers is the round-assignment search worker count applied to every
-// scheduling problem the experiments build (core.Problem.Workers: 0 =
-// GOMAXPROCS, 1 = sequential). The experiment binaries expose it as
-// their -workers flag.
-var Workers int
+// The record's run counts and seeds: EXPERIMENTS.md quotes the runs they
+// produce.
+const (
+	validationRuns = 10000
+	validationSeed = 1
+	fig3Episodes   = 100
+	fig3Seed       = 1
+	a5Runs         = 600
+	a5Seed         = 9
+	a6Runs         = 2000
+	a6Seed         = 5
+)
 
-// solve runs core.Solve with the package-wide Workers setting applied.
-func solve(p *core.Problem) (*core.Schedule, error) {
-	p.Workers = Workers
+// solve runs core.Solve with the given round-assignment search worker
+// count (core.Problem.Workers: 0 = GOMAXPROCS, 1 = sequential), which
+// changes no result.
+func solve(p *core.Problem, workers int) (*core.Schedule, error) {
+	p.Workers = workers
 	return core.Solve(p)
 }
 
@@ -89,7 +107,7 @@ func Fig2Levels() []wh.MissConstraint {
 // Fig2 computes the fig. 2 sweep: for every strictness level, makespan
 // as weakly-hard constraints are incrementally applied to 0..4 actuator
 // tasks.
-func Fig2() ([]Fig2Point, error) {
+func Fig2(workers int) ([]Fig2Point, error) {
 	var out []Fig2Point
 	for _, level := range Fig2Levels() {
 		g, err := apps.MIMO(apps.DefaultMIMO())
@@ -106,7 +124,7 @@ func Fig2() ([]Fig2Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.Workers = Workers
+			p.Workers = workers
 			m, err := core.MinMakespan(p)
 			if err != nil {
 				return nil, fmt.Errorf("figures: fig2 level %v, %d actuators: %w", level, k, err)
@@ -126,21 +144,24 @@ var Fig3Windows = []int{5, 10, 15, 20}
 const Fig3MaxMisses = 6
 
 // Fig3 trains (or reuses) the NN controller and measures mean balanced
-// steps per grid cell over the given number of episodes.
-func Fig3(episodes int, seed int64) ([]cartpole.Cell, error) {
+// steps per grid cell. It runs no scheduler.
+func Fig3() ([]cartpole.Cell, error) {
 	ctl, err := cartpole.TrainedController()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	return cartpole.FaultGrid(ctl, cartpole.DefaultParams(), Fig3Windows, Fig3MaxMisses, episodes, rng)
+	rng := rand.New(rand.NewSource(fig3Seed))
+	return cartpole.FaultGrid(ctl, cartpole.DefaultParams(), Fig3Windows, Fig3MaxMisses, fig3Episodes, rng)
 }
 
-// --- E5: Fig. 4 -------------------------------------------------------
+// --- E5, E5b: Fig. 4 and its energy fronts ---------------------------
 
-// Fig4 runs the §IV-D exploration on A_MIMO with 0.9 soft targets on all
-// actuators.
-func Fig4() ([]dse.Point, error) {
+// Fig4Pareto runs the §IV-D exploration on A_MIMO with 0.9 soft targets
+// on all actuators, with the Pareto objective: every front's Point is a
+// fig. 4 row (dse.ExploreFronts' summaries equal dse.Explore's points),
+// and every feasible power setting carries its full energy/latency front,
+// the fig. 4 rows extended with the energy axis (DESIGN.md §15).
+func Fig4Pareto(workers int) ([]dse.QFront, error) {
 	g, err := apps.MIMO(apps.DefaultMIMO())
 	if err != nil {
 		return nil, err
@@ -151,30 +172,11 @@ func Fig4() ([]dse.Point, error) {
 	}
 	cfg := dse.DefaultConfig(g, cons)
 	cfg.MobileNodes = 13 // one mobile node per task
-	cfg.Workers = Workers
-	return dse.Explore(cfg)
-}
-
-// Fig4Pareto is Fig4 with the Pareto objective: the same sweep, but
-// every feasible power setting carries its full energy/latency front —
-// the fig. 4 rows extended with the energy axis (DESIGN.md §15). The
-// Point summaries are identical to Fig4's.
-func Fig4Pareto() ([]dse.QFront, error) {
-	g, err := apps.MIMO(apps.DefaultMIMO())
-	if err != nil {
-		return nil, err
-	}
-	cons := make(map[dag.TaskID]float64)
-	for _, a := range apps.Actuators(g) {
-		cons[a] = 0.9
-	}
-	cfg := dse.DefaultConfig(g, cons)
-	cfg.MobileNodes = 13 // one mobile node per task
-	cfg.Workers = Workers
+	cfg.Workers = workers
 	return dse.ExploreFronts(cfg)
 }
 
-// --- E5b: diameter sensitivity ------------------------------------------
+// --- E5c: diameter sensitivity ------------------------------------------
 
 // DiameterRow is one point of the network-density sensitivity sweep: the
 // diameter bound D(N) enters every flood reservation linearly (eq. 3),
@@ -188,7 +190,7 @@ type DiameterRow struct {
 // DiameterSweep schedules A_MIMO under a fixed weakly-hard load across
 // diameter bounds — the connectivity half of the fig. 4 tradeoff
 // isolated from the statistic.
-func DiameterSweep() ([]DiameterRow, error) {
+func DiameterSweep(workers int) ([]DiameterRow, error) {
 	var out []DiameterRow
 	for d := 1; d <= 6; d++ {
 		g, err := apps.MIMO(apps.DefaultMIMO())
@@ -204,7 +206,7 @@ func DiameterSweep() ([]DiameterRow, error) {
 			Mode: core.WeaklyHard, WHStat: glossy.SyntheticWH{}, WHCons: cons,
 			GreedyChi: true,
 		}
-		s, err := solve(p)
+		s, err := solve(p, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +227,7 @@ type ValidationResult struct {
 // Validation schedules a 3-stage soft pipeline (targets 0.95/0.9) and
 // the weakly-hard A_MIMO (budget 20 misses per 40 on each actuator), then
 // validates both per eq. (11) and eq. (12).
-func Validation(runs int, seed int64) (*ValidationResult, error) {
+func Validation(workers, runs int, seed int64) (*ValidationResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	res := &ValidationResult{}
 
@@ -241,7 +243,7 @@ func Validation(runs int, seed int64) (*ValidationResult, error) {
 		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
 		SoftCons: map[dag.TaskID]float64{mid.ID: 0.95, last.ID: 0.9},
 	}
-	ss, err := solve(soft)
+	ss, err := solve(soft, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +264,7 @@ func Validation(runs int, seed int64) (*ValidationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws, err := solve(whp)
+	ws, err := solve(whp, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +291,7 @@ type TableIRow struct {
 // (6,10) budget reachable under the eq. 13 statistic, whose floods
 // contribute at least 2 misses each: one message plus one beacon exactly
 // saturates the 4-miss budget.)
-func TableI() ([]TableIRow, error) {
+func TableI(workers int) ([]TableIRow, error) {
 	g, err := apps.Pipeline(2, 500, 8)
 	if err != nil {
 		return nil, err
@@ -302,7 +304,7 @@ func TableI() ([]TableIRow, error) {
 		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
 		SoftCons: map[dag.TaskID]float64{last.ID: 0.84},
 	}
-	ss, err := solve(soft)
+	ss, err := solve(soft, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +321,7 @@ func TableI() ([]TableIRow, error) {
 		// Table I: "at least 6 times in every 10" = hit-form (6,10).
 		WHCons: map[dag.TaskID]wh.MissConstraint{last2.ID: (wh.Constraint{M: 6, K: 10}).Miss()},
 	}
-	ws, err := solve(hard)
+	ws, err := solve(hard, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +369,7 @@ type A2Row struct {
 
 // AblationA2 sweeps soft targets on the A_MIMO actuators and compares bus
 // time and makespan against the baseline.
-func AblationA2() ([]A2Row, error) {
+func AblationA2(workers int) ([]A2Row, error) {
 	var out []A2Row
 	for _, target := range []float64{0.5, 0.8, 0.9, 0.95, 0.99} {
 		g, err := apps.MIMO(apps.DefaultMIMO())
@@ -384,7 +386,7 @@ func AblationA2() ([]A2Row, error) {
 			SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
 			SoftCons: cons,
 		}
-		nd, err := solve(p)
+		nd, err := solve(p, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -414,14 +416,14 @@ type A3Row struct {
 
 // AblationA3 runs both placement strategies on the paper's instances and
 // random layered DAGs.
-func AblationA3() ([]A3Row, error) {
+func AblationA3(workers int) ([]A3Row, error) {
 	var out []A3Row
 	run := func(name string, mk func() (*core.Problem, error)) error {
 		pe, err := mk()
 		if err != nil {
 			return err
 		}
-		se, err := solve(pe)
+		se, err := solve(pe, workers)
 		if err != nil {
 			return err
 		}
@@ -430,7 +432,7 @@ func AblationA3() ([]A3Row, error) {
 			return err
 		}
 		pg.GreedyPlacement = true
-		sg, err := solve(pg)
+		sg, err := solve(pg, workers)
 		if err != nil {
 			return err
 		}
@@ -485,7 +487,7 @@ type A4Row struct {
 
 // AblationA4 sweeps fig. 2 strictness levels on the fully-constrained
 // A_MIMO and reports the reserved bus time under both χ optimizers.
-func AblationA4() ([]A4Row, error) {
+func AblationA4(workers int) ([]A4Row, error) {
 	var out []A4Row
 	for _, level := range Fig2Levels() {
 		run := func(greedy bool) (int64, error) {
@@ -502,7 +504,7 @@ func AblationA4() ([]A4Row, error) {
 				return 0, err
 			}
 			p.GreedyChi = greedy
-			s, err := solve(p)
+			s, err := solve(p, workers)
 			if err != nil {
 				return 0, err
 			}
@@ -537,7 +539,7 @@ type A5Row struct {
 // when the paper's clock-free scheduling abstraction is faithful (ample
 // guards) and when it breaks (guards below the drift accumulated between
 // beacon captures).
-func AblationA5(runs int, seed int64) ([]A5Row, error) {
+func AblationA5(workers, runs int, seed int64) ([]A5Row, error) {
 	g, err := apps.Pipeline(3, 500, 8)
 	if err != nil {
 		return nil, err
@@ -549,7 +551,7 @@ func AblationA5(runs int, seed int64) ([]A5Row, error) {
 		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
 		SoftCons: map[dag.TaskID]float64{last.ID: 0.85},
 	}
-	s, err := solve(p)
+	s, err := solve(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +602,7 @@ type A6Row struct {
 // AblationA6 reproduces the paper's motivational claim from §I: TDMA
 // schedules are bound to the topology they were computed on, while
 // Glossy-flood-based schedules are topology-agnostic.
-func AblationA6(runs int, seed int64) ([]A6Row, error) {
+func AblationA6(workers int) ([]A6Row, error) {
 	g, err := apps.Pipeline(3, 500, 8)
 	if err != nil {
 		return nil, err
@@ -616,18 +618,18 @@ func AblationA6(runs int, seed int64) ([]A6Row, error) {
 	if err := mutated.AddLink(0, 2, 0.9); err != nil { // ...toward n0
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(a6Seed))
 
 	// TDMA stack.
 	tdmaSched, err := tdma.Build(g, design, tdma.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
-	tdmaDesign, err := tdmaSched.DeliveryRate(design, runs, rng)
+	tdmaDesign, err := tdmaSched.DeliveryRate(design, a6Runs, rng)
 	if err != nil {
 		return nil, err
 	}
-	tdmaMutated, err := tdmaSched.DeliveryRate(mutated, runs, rng)
+	tdmaMutated, err := tdmaSched.DeliveryRate(mutated, a6Runs, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -641,7 +643,7 @@ func AblationA6(runs int, seed int64) ([]A6Row, error) {
 		SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
 		SoftCons: map[dag.TaskID]float64{last.ID: 0.95},
 	}
-	s, err := solve(p)
+	s, err := solve(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -650,7 +652,7 @@ func AblationA6(runs int, seed int64) ([]A6Row, error) {
 		if err != nil {
 			return 0, err
 		}
-		seqs, err := d.Run(runs, rng)
+		seqs, err := d.Run(a6Runs, rng)
 		if err != nil {
 			return 0, err
 		}
