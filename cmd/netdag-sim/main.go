@@ -265,8 +265,8 @@ func runOnline(fspec *spec.File, cfg session.LoopConfig, workers int, journalPat
 	}
 	fmt.Printf("online session under %q: %d events over %d iterations (seed %d)\n",
 		name, res.Events, res.Iterations, cfg.Seed)
-	fmt.Printf("  applied %d (warm hits %d), rejected %d, violated iterations %d\n",
-		st.Applied, st.WarmHits, st.Rejected, res.ViolatedIterations)
+	fmt.Printf("  applied %d, rejected %d, violated iterations %d\n",
+		st.Applied, st.Rejected, res.ViolatedIterations)
 	fmt.Printf("  fallbacks %d, mode switches %d, recoveries %d, re-solves %d\n",
 		st.Fallbacks, st.ModeSwitches, st.Recoveries, st.Resolves)
 	if journalPath != "" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -63,21 +64,7 @@ func TestChiGreedyFeasible(t *testing.T) {
 func TestChiExactNeverWorseThanGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(4)
-		var tasks [][]int
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			var fl []int
-			for f := 0; f < n; f++ {
-				if rng.Float64() < 0.6 {
-					fl = append(fl, f)
-				}
-			}
-			if len(fl) == 0 {
-				fl = []int{rng.Intn(n)}
-			}
-			tasks = append(tasks, fl)
-		}
-		ci := mkChi(n, 5, 4+rng.Float64()*8, tasks)
+		ci := randChiInstance(rng, 3+rng.Intn(4), 5, trial%2 == 0)
 		exact, _, errE := ci.solveExact()
 		greedy, errG := ci.solveGreedy()
 		if errE != nil {
@@ -135,5 +122,98 @@ func TestChiSharedFloodSavesCost(t *testing.T) {
 	}
 	if !(chi[1] >= chi[0] && chi[1] >= chi[2]) {
 		t.Errorf("expected the shared flood to carry the investment: %v", chi)
+	}
+}
+
+// bruteChiInstance is randChiInstance with at most 6 floods, 5 levels
+// and 3 constraints, its costs redrawn as small strictly increasing
+// integers so that equal-cost vectors are common. Its lower bounds are
+// 1 or 2, so with a single level some lie above upper.
+func bruteChiInstance(rng *rand.Rand, soft bool) *chiInstance {
+	ci := randChiInstance(rng, 1+rng.Intn(6), 1+rng.Intn(5), soft)
+	ci.cons = ci.cons[:min(len(ci.cons), 3)]
+	for _, cost := range ci.cost {
+		c := int64(1 + rng.Intn(3))
+		for i := range cost {
+			cost[i], c = c, c+int64(1+rng.Intn(2))
+		}
+	}
+	return ci
+}
+
+// bruteChiFeasible reports whether chi lies in the box and meets every
+// constraint, summing deficits itself rather than calling violated.
+func bruteChiFeasible(ci *chiInstance, chi []int) bool {
+	for f, v := range chi {
+		if v < ci.lower[f] || v > ci.upper {
+			return false
+		}
+	}
+	for _, c := range ci.cons {
+		sum := 0.0
+		for _, f := range c.floods {
+			sum += ci.def[f][chi[f]-1]
+		}
+		if sum > c.budget+chiEps {
+			return false
+		}
+	}
+	return true
+}
+
+// TestChiMatchesBruteForce checks the χ search against enumeration of
+// every vector in the box [lower, upper]^n: solve must return a feasible
+// vector of the least cost, marked exact, or ErrUnsat exactly when no
+// vector is feasible.
+func TestChiMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2700))
+	const trials = 2000
+	sat, tied := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		ci := bruteChiInstance(rng, trial%2 == 0)
+		var best int64
+		optima := 0
+		chi := make([]int, ci.n)
+		var walk func(f int, cost int64)
+		walk = func(f int, cost int64) {
+			if f == ci.n {
+				switch {
+				case !bruteChiFeasible(ci, chi):
+				case optima == 0 || cost < best:
+					best, optima = cost, 1
+				case cost == best:
+					optima++
+				}
+				return
+			}
+			for v := ci.lower[f]; v <= ci.upper; v++ {
+				chi[f] = v
+				walk(f+1, cost+ci.cost[f][v-1])
+			}
+		}
+		walk(0, 0)
+		label := fmt.Sprintf("trial %d (soft=%v)", trial, trial%2 == 0)
+		got, exact, err := ci.solve(false)
+		if optima == 0 {
+			if !errors.Is(err, ErrUnsat) {
+				t.Fatalf("%s: no feasible vector, search returned %v, %v", label, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v; brute force found cost %d", label, err, best)
+		}
+		if !exact || !bruteChiFeasible(ci, got) || ci.totalCost(got) != best {
+			t.Fatalf("%s: chi %v (exact %v, feasible %v) costs %d, brute-force optimum %d",
+				label, got, exact, bruteChiFeasible(ci, got), ci.totalCost(got), best)
+		}
+		sat++
+		if optima > 1 {
+			tied++
+		}
+	}
+	t.Logf("%d of %d instances satisfiable, %d of those with tied optima", sat, trials, tied)
+	if sat < trials/2 || tied == 0 {
+		t.Fatalf("generator degenerate: %d satisfiable, %d tied", sat, tied)
 	}
 }

@@ -150,7 +150,7 @@ func randChiInstance(rng *rand.Rand, n, upper int, soft bool) *chiInstance {
 		lo, hi := 0.0, 0.0
 		for _, f := range floods {
 			lo += ci.def[f][upper-1]
-			hi += ci.def[f][ci.lower[f]-1]
+			hi += ci.def[f][min(ci.lower[f], upper)-1]
 		}
 		budget := lo + (hi-lo)*rng.Float64()
 		if !soft {

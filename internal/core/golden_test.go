@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"github.com/netdag/netdag/internal/apps"
@@ -70,71 +69,6 @@ func TestGoldenSolutionsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("MIMO greedy", s3, 101624, 98820, false, 2)
-}
-
-// TestWarmStartEquivalence pins the session re-solve contract: a solve
-// warm-started with a previous schedule's makespan (Problem.WarmMakespan)
-// must return a schedule bit-identical to a cold solve of the same
-// delta'd problem — whether the warm bound still holds (the delta kept or
-// improved the optimum), is exactly tight, or is beaten (the optimum
-// regressed past it and SolveContext's cold redo kicks in). Only
-// SolverNodes — work accounting, documented as outside the schedule
-// identity — may differ.
-func TestWarmStartEquivalence(t *testing.T) {
-	g, err := apps.Pipeline(4, 500, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := g.Sinks()[0]
-	base := func() *Problem {
-		return &Problem{
-			App: g, Params: glossy.DefaultParams(), Diameter: 3,
-			Mode:     Soft,
-			SoftStat: glossy.BernoulliSoft{PerTX: 0.9},
-			SoftCons: map[dag.TaskID]float64{sink: 0.9},
-		}
-	}
-	prev, err := Solve(base())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warmEq := func(name string, mutate func(*Problem), workers int) {
-		t.Helper()
-		cold := base()
-		mutate(cold)
-		cold.Workers = workers
-		warm := base()
-		mutate(warm)
-		warm.Workers = workers
-		warm.WarmMakespan = prev.Makespan
-		cs, cerr := Solve(cold)
-		ws, werr := Solve(warm)
-		if (cerr == nil) != (werr == nil) {
-			t.Fatalf("%s: cold err = %v, warm err = %v", name, cerr, werr)
-		}
-		if cerr != nil {
-			if cerr.Error() != werr.Error() {
-				t.Errorf("%s: cold err %q != warm err %q", name, cerr, werr)
-			}
-			return
-		}
-		nc, nw := *cs, *ws
-		nc.SolverNodes, nw.SolverNodes = 0, 0
-		if !reflect.DeepEqual(&nc, &nw) {
-			t.Errorf("%s: warm-started schedule differs from cold solve\ncold: %+v\nwarm: %+v", name, nc, nw)
-		}
-	}
-
-	warmEq("unchanged", func(p *Problem) {}, 1)
-	warmEq("unchanged parallel", func(p *Problem) {}, 4)
-	warmEq("diameter shrink", func(p *Problem) { p.Diameter = 2 }, 1)
-	warmEq("diameter shrink parallel", func(p *Problem) { p.Diameter = 2 }, 4)
-	warmEq("diameter grow: bound beaten, cold redo", func(p *Problem) { p.Diameter = 5 }, 1)
-	warmEq("diameter grow parallel", func(p *Problem) { p.Diameter = 5 }, 4)
-	warmEq("link floor raised", func(p *Problem) { p.MinNTX = 3 }, 1)
-	warmEq("link floor raised parallel", func(p *Problem) { p.MinNTX = 3 }, 4)
-	warmEq("tighter constraint", func(p *Problem) { p.SoftCons[sink] = 0.95 }, 1)
 }
 
 // TestMinNTXFloor pins the χ-domain floor semantics: every flood —

@@ -79,17 +79,6 @@ func SolveContext(ctx context.Context, p *Problem) (*Schedule, error) {
 	// ran to completion just before its deadline as canceled — demoting a
 	// proven-optimal schedule to a non-cacheable incumbent.
 	canceled := s.interrupted.Load()
-	if best == nil && !canceled && p.WarmMakespan > 0 {
-		// The warm hint excluded every assignment: either the delta'd
-		// optimum regressed past the previous makespan, or the instance is
-		// infeasible. The answer (schedule or error) must not depend on the
-		// hint, so redo the whole search cold — WarmMakespan is an
-		// optimization, never a constraint.
-		s = newSearch(ctx, p, lg, maxRounds)
-		s.warm = 0
-		best, firstErr = s.run(workers)
-		canceled = s.interrupted.Load()
-	}
 	if best == nil {
 		if canceled {
 			return nil, ErrCanceled
@@ -138,12 +127,8 @@ type search struct {
 	// beaconDur and beaconCharge are the beacon's duration and charge
 	// columns, indexed by χ−1: the per-round terms of the lower bounds.
 	beaconDur, beaconCharge []int64
-	// warm is Problem.WarmMakespan: a virtual incumbent (warm, idx +∞)
-	// active until the first real schedule is found. SolveContext clears
-	// it for the cold redo when the hint excluded every assignment.
-	warm int64
 	// inc is the best outcome published so far, read by every prune
-	// point; run seeds it with the warm virtual incumbent.
+	// point; nil until the first schedule is found.
 	inc atomic.Pointer[incumbentRec]
 	// explored counts the enumerated assignments, cut those of them the
 	// tier cut skipped. Only the producer writes them.
@@ -172,7 +157,6 @@ func newSearch(ctx context.Context, p *Problem, lg *dag.LineGraph, maxRounds int
 		maxRounds: maxRounds,
 		cpWCET:    p.App.CriticalPathWCET(),
 		chiFloor:  make([]int, p.App.NumMessages()),
-		warm:      p.WarmMakespan,
 	}
 	for m := range s.chiFloor {
 		s.chiFloor[m] = p.MinNTX
@@ -783,16 +767,6 @@ func (p *Problem) assemble(res solver.Result, assign, chi []int, dur []int64) *S
 	sched.SolverNodes = res.Nodes
 	sched.EnergyPC = p.scheduleEnergyPC(sched)
 	return sched
-}
-
-// MinMakespan returns only the optimal makespan for the problem — the
-// "minimum feasible latency" query of §IV-B that drives figs. 2 and 4.
-func MinMakespan(p *Problem) (int64, error) {
-	s, err := Solve(p)
-	if err != nil {
-		return 0, err
-	}
-	return s.Makespan, nil
 }
 
 // ErrScheduleMismatch reports that a schedule does not cover the

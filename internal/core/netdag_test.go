@@ -349,18 +349,6 @@ func TestScheduleStringRenders(t *testing.T) {
 	}
 }
 
-func TestMinMakespan(t *testing.T) {
-	p, _ := softPipeline(t, 0.9)
-	m, err := MinMakespan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := Solve(p)
-	if m != s.Makespan {
-		t.Errorf("MinMakespan %d != Solve makespan %d", m, s.Makespan)
-	}
-}
-
 func TestMakespanLowerBound(t *testing.T) {
 	// Makespan is at least critical-path WCET plus all bus time (rounds
 	// are global blackouts on a pipeline's single path).

@@ -238,16 +238,3 @@ func TestGuaranteeSlack(t *testing.T) {
 		t.Errorf("unconstrained slack = %v, %v; want +Inf", slack, err)
 	}
 }
-
-func TestWarmHintClearedUnderEnergyObjective(t *testing.T) {
-	p, _ := softPipeline(t, 0.9)
-	p.Objective = ObjectiveEnergy
-	p.WarmMakespan = 1 // absurdly tight; must be ignored, not constrain
-	s, err := Solve(p)
-	if err != nil {
-		t.Fatalf("warm hint under energy objective must not constrain: %v", err)
-	}
-	if s.EnergyPC <= 0 {
-		t.Errorf("EnergyPC = %d, want positive", s.EnergyPC)
-	}
-}

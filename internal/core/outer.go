@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"sync"
 
 	"github.com/netdag/netdag/internal/solver"
@@ -50,8 +49,7 @@ const assignmentBatchSize = 8
 // incumbentRec is the shared best-known outcome: the best scalarized
 // cost published so far — (energy, makespan) under the objective's total
 // order — and the enumeration index of the assignment that achieved it.
-// Under ObjectiveMakespan the energy field is ignored by the comparator
-// (and set to MaxInt64 for virtual warm incumbents).
+// Under ObjectiveMakespan the energy field is ignored by the comparator.
 type incumbentRec struct {
 	energy   int64
 	makespan int64
@@ -78,18 +76,6 @@ type searchOut struct {
 // winner and the first error in enumeration order, and leaves the
 // explored and cut counts in s.
 func (s *search) run(workers int) (*candidate, *searchErr) {
-	if s.warm > 0 {
-		// Warm start: a virtual incumbent at the previous schedule's
-		// makespan with an infinite enumeration index, so it prunes what a
-		// real incumbent at the warm makespan would (the index tie-break
-		// never fires against +∞) and loses every tie-break to a real
-		// schedule. Everything it prunes has optimum > warm, so it cannot
-		// win a cold search whose optimum is ≤ warm; when nothing survives,
-		// SolveContext redoes the search cold. See Problem.WarmMakespan.
-		// (Warm hints only exist under ObjectiveMakespan; normalize clears
-		// them otherwise, so the MaxInt64 energy is never consulted.)
-		s.inc.Store(&incumbentRec{energy: math.MaxInt64, makespan: s.warm, idx: math.MaxInt})
-	}
 	outs := make([]searchOut, max(workers, 1))
 	var jobs chan []job
 	var wg sync.WaitGroup

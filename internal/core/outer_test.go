@@ -171,9 +171,8 @@ func referenceSolve(t *testing.T, p *Problem) (*Schedule, int, error) {
 // TestSolveMatchesReference checks the outer search's skips against
 // referenceSolve on random small soft and weakly-hard instances: under
 // both objectives, with MakespanCap at and below the reference optimum,
-// with warm hints above, at and below it, and at Workers 1 and 4, Solve
-// returns the reference's makespan, energy, assignment and Explored, or
-// its error.
+// and at Workers 1 and 4, Solve returns the reference's makespan,
+// energy, assignment and Explored, or its error.
 func TestSolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2300))
 	compared := 0
@@ -185,10 +184,10 @@ func TestSolveMatchesReference(t *testing.T) {
 		soft := trial%2 == 0
 		diameter, maxNTX := 1+rng.Intn(4), 4+rng.Intn(5)
 		softTarget, misses := 0.5+0.45*rng.Float64(), 10+rng.Intn(25)
-		mk := func(obj Objective, cap, warm int64, workers int) *Problem {
+		mk := func(obj Objective, cap int64, workers int) *Problem {
 			p := &Problem{
 				App: g, Params: glossy.DefaultParams(), Diameter: diameter, MaxNTX: maxNTX,
-				Objective: obj, MakespanCap: cap, WarmMakespan: warm, Workers: workers,
+				Objective: obj, MakespanCap: cap, Workers: workers,
 			}
 			if soft {
 				p.Mode, p.SoftStat = Soft, glossy.BernoulliSoft{PerTX: 0.8}
@@ -206,23 +205,21 @@ func TestSolveMatchesReference(t *testing.T) {
 			return p
 		}
 		for _, obj := range []Objective{ObjectiveMakespan, ObjectiveEnergy} {
-			opt, _, err := referenceSolve(t, mk(obj, 0, 0, 1))
+			opt, _, err := referenceSolve(t, mk(obj, 0, 1))
 			type variant struct {
-				name      string
-				cap, warm int64
+				name string
+				cap  int64
 			}
-			variants := []variant{{"plain", 0, 0}}
+			variants := []variant{{"plain", 0}}
 			if err == nil {
 				m := opt.Makespan
-				variants = append(variants,
-					variant{"cap at optimum", m, 0}, variant{"cap below optimum", m - 1, 0},
-					variant{"warm above", 0, m + 1}, variant{"warm at", 0, m}, variant{"warm below", 0, m - 1})
+				variants = append(variants, variant{"cap at optimum", m}, variant{"cap below optimum", m - 1})
 			}
 			for _, v := range variants {
-				ref, explored, refErr := referenceSolve(t, mk(obj, v.cap, v.warm, 1))
+				ref, explored, refErr := referenceSolve(t, mk(obj, v.cap, 1))
 				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("trial %d soft=%v objective %v %s workers %d", trial, soft, obj, v.name, workers)
-					got, err := Solve(mk(obj, v.cap, v.warm, workers))
+					got, err := Solve(mk(obj, v.cap, workers))
 					if refErr != nil || err != nil {
 						if refErr == nil || err == nil || err.Error() != refErr.Error() {
 							t.Fatalf("%s: error %v, reference %v", label, err, refErr)

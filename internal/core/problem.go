@@ -177,19 +177,6 @@ type Problem struct {
 	// always apply, so results are again identical, just slower.
 	NoChiFloors bool
 
-	// WarmMakespan warm-starts the outer search with the makespan of a
-	// previously solved, closely related instance (the online session's
-	// re-solve path): it acts as a virtual incumbent — assignments whose
-	// lower bound exceeds it are skipped and timing searches are capped
-	// by it — so a re-solve whose optimum is no worse than the previous
-	// schedule proves it at a fraction of the cold node count. The value
-	// is a hint, never a constraint: when the bound excludes every
-	// assignment (the delta'd optimum regressed past it), the search
-	// transparently re-runs cold, so the returned schedule is always
-	// bit-identical to an unhinted solve of the same problem — only
-	// SolverNodes (work accounting) may differ. Zero disables it.
-	WarmMakespan int64
-
 	// iclasses are the interchange classes of message tuples (equal
 	// width, identical destination sets, interchangeable sources or
 	// instance chains) computed by normalize for exact placements; see
@@ -306,9 +293,6 @@ func (p *Problem) normalize() error {
 		return fmt.Errorf("%w: MinNTX %d exceeds MaxNTX %d (empty χ domain)",
 			ErrUnsat, p.MinNTX, p.MaxNTX)
 	}
-	if p.WarmMakespan < 0 {
-		return fmt.Errorf("core: WarmMakespan must be >= 0, got %d", p.WarmMakespan)
-	}
 	switch p.Objective {
 	case ObjectiveMakespan, ObjectiveEnergy:
 	case ObjectivePareto:
@@ -324,13 +308,6 @@ func (p *Problem) normalize() error {
 	}
 	if p.MakespanCap < 0 {
 		return fmt.Errorf("core: MakespanCap must be >= 0, got %d", p.MakespanCap)
-	}
-	if p.Objective != ObjectiveMakespan {
-		// The warm hint is a makespan incumbent; under any other
-		// objective it neither prunes soundly nor breaks ties in the
-		// right order. It is a hint, never a constraint, so dropping it
-		// is always safe.
-		p.WarmMakespan = 0
 	}
 	if p.SolverNodes == 0 {
 		p.SolverNodes = DefaultSolverNodes

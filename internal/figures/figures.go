@@ -64,22 +64,28 @@ func solve(p *core.Problem, workers int) (*core.Schedule, error) {
 	return core.Solve(p)
 }
 
-// mimoProblem builds the A_MIMO weakly-hard problem with the given
-// per-actuator constraints (nil entries mean unconstrained).
-func mimoProblem(cons map[dag.TaskID]wh.MissConstraint) (*core.Problem, *dag.Graph, error) {
+// mimoActuators is A_MIMO's actuator count.
+var mimoActuators = apps.DefaultMIMO().Actuators
+
+// mimoProblem builds the A_MIMO weakly-hard problem with its first k
+// actuators carrying the constraint level.
+func mimoProblem(level wh.MissConstraint, k int) (*core.Problem, error) {
 	g, err := apps.MIMO(apps.DefaultMIMO())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p := &core.Problem{
+	cons := make(map[dag.TaskID]wh.MissConstraint)
+	for _, a := range apps.Actuators(g)[:k] {
+		cons[a] = level
+	}
+	return &core.Problem{
 		App:      g,
 		Params:   glossy.DefaultParams(),
 		Diameter: 4,
 		Mode:     core.WeaklyHard,
 		WHStat:   glossy.SyntheticWH{},
 		WHCons:   cons,
-	}
-	return p, g, nil
+	}, nil
 }
 
 // --- E3: Fig. 2 -------------------------------------------------------
@@ -91,6 +97,7 @@ type Fig2Point struct {
 	Level       wh.MissConstraint
 	Constrained int
 	Makespan    int64
+	BusTime     int64
 }
 
 // Fig2Levels are the strictness levels swept (tightening miss budgets
@@ -106,33 +113,40 @@ func Fig2Levels() []wh.MissConstraint {
 
 // Fig2 computes the fig. 2 sweep: for every strictness level, makespan
 // as weakly-hard constraints are incrementally applied to 0..4 actuator
-// tasks.
+// tasks. With no actuator constrained the level plays no part, so that
+// point is solved once and shared by every level.
 func Fig2(workers int) ([]Fig2Point, error) {
 	var out []Fig2Point
+	var free *core.Schedule
 	for _, level := range Fig2Levels() {
-		g, err := apps.MIMO(apps.DefaultMIMO())
-		if err != nil {
-			return nil, err
-		}
-		acts := apps.Actuators(g)
-		for k := 0; k <= len(acts); k++ {
-			cons := make(map[dag.TaskID]wh.MissConstraint)
-			for _, a := range acts[:k] {
-				cons[a] = level
+		for k := 0; k <= mimoActuators; k++ {
+			s := free
+			if k > 0 || s == nil {
+				p, err := mimoProblem(level, k)
+				if err != nil {
+					return nil, err
+				}
+				if s, err = solve(p, workers); err != nil {
+					return nil, fmt.Errorf("figures: fig2 level %v, %d actuators: %w", level, k, err)
+				}
 			}
-			p, _, err := mimoProblem(cons)
-			if err != nil {
-				return nil, err
+			if k == 0 {
+				free = s
 			}
-			p.Workers = workers
-			m, err := core.MinMakespan(p)
-			if err != nil {
-				return nil, fmt.Errorf("figures: fig2 level %v, %d actuators: %w", level, k, err)
-			}
-			out = append(out, Fig2Point{Level: level, Constrained: k, Makespan: m})
+			out = append(out, Fig2Point{Level: level, Constrained: k, Makespan: s.Makespan, BusTime: s.BusTime})
 		}
 	}
 	return out, nil
+}
+
+// fullyConstrained returns fig. 2's point with every actuator at level.
+func fullyConstrained(fig2 []Fig2Point, level wh.MissConstraint) (Fig2Point, error) {
+	for _, p := range fig2 {
+		if p.Level == level && p.Constrained == mimoActuators {
+			return p, nil
+		}
+	}
+	return Fig2Point{}, fmt.Errorf("figures: fig. 2 has no fully constrained point at %v", level)
 }
 
 // --- E4: Fig. 3 -------------------------------------------------------
@@ -252,15 +266,7 @@ func Validation(workers, runs int, seed int64) (*ValidationResult, error) {
 		return nil, err
 	}
 
-	cons := make(map[dag.TaskID]wh.MissConstraint)
-	gm, err := apps.MIMO(apps.DefaultMIMO())
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range apps.Actuators(gm) {
-		cons[a] = wh.MissConstraint{Misses: 20, Window: 40}
-	}
-	whp, _, err := mimoProblem(cons)
+	whp, err := mimoProblem(wh.MissConstraint{Misses: 20, Window: 40}, mimoActuators)
 	if err != nil {
 		return nil, err
 	}
@@ -415,17 +421,23 @@ type A3Row struct {
 }
 
 // AblationA3 runs both placement strategies on the paper's instances and
-// random layered DAGs.
-func AblationA3(workers int) ([]A3Row, error) {
+// random layered DAGs. The exact mimo span is fig. 2's fully constrained
+// point at (24,40).
+func AblationA3(workers int, fig2 []Fig2Point) ([]A3Row, error) {
 	var out []A3Row
-	run := func(name string, mk func() (*core.Problem, error)) error {
-		pe, err := mk()
-		if err != nil {
-			return err
-		}
-		se, err := solve(pe, workers)
-		if err != nil {
-			return err
+	// run solves mk's problem with greedy placement, and exactly too
+	// unless exact is already known.
+	run := func(name string, exact int64, mk func() (*core.Problem, error)) error {
+		if exact == 0 {
+			pe, err := mk()
+			if err != nil {
+				return err
+			}
+			se, err := solve(pe, workers)
+			if err != nil {
+				return err
+			}
+			exact = se.Makespan
 		}
 		pg, err := mk()
 		if err != nil {
@@ -436,26 +448,20 @@ func AblationA3(workers int) ([]A3Row, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, A3Row{Instance: name, ExactSpan: se.Makespan, GreedySpan: sg.Makespan})
+		out = append(out, A3Row{Instance: name, ExactSpan: exact, GreedySpan: sg.Makespan})
 		return nil
 	}
-	if err := run("mimo", func() (*core.Problem, error) {
-		cons := make(map[dag.TaskID]wh.MissConstraint)
-		g, err := apps.MIMO(apps.DefaultMIMO())
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range apps.Actuators(g) {
-			cons[a] = wh.MissConstraint{Misses: 24, Window: 40}
-		}
-		p, _, err := mimoProblem(cons)
-		return p, err
-	}); err != nil {
+	level := wh.MissConstraint{Misses: 24, Window: 40}
+	full, err := fullyConstrained(fig2, level)
+	if err != nil {
+		return nil, err
+	}
+	if err := run("mimo", full.Makespan, func() (*core.Problem, error) { return mimoProblem(level, mimoActuators) }); err != nil {
 		return nil, err
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		s := seed
-		if err := run(fmt.Sprintf("layered-%d", s), func() (*core.Problem, error) {
+		if err := run(fmt.Sprintf("layered-%d", s), 0, func() (*core.Problem, error) {
 			g, err := apps.RandomLayered(3, 3, 2, s)
 			if err != nil {
 				return nil, err
@@ -486,39 +492,25 @@ type A4Row struct {
 }
 
 // AblationA4 sweeps fig. 2 strictness levels on the fully-constrained
-// A_MIMO and reports the reserved bus time under both χ optimizers.
-func AblationA4(workers int) ([]A4Row, error) {
+// A_MIMO and reports the reserved bus time under both χ optimizers. The
+// exact column is fig. 2's fully constrained points.
+func AblationA4(workers int, fig2 []Fig2Point) ([]A4Row, error) {
 	var out []A4Row
 	for _, level := range Fig2Levels() {
-		run := func(greedy bool) (int64, error) {
-			g, err := apps.MIMO(apps.DefaultMIMO())
-			if err != nil {
-				return 0, err
-			}
-			cons := make(map[dag.TaskID]wh.MissConstraint)
-			for _, a := range apps.Actuators(g) {
-				cons[a] = level
-			}
-			p, _, err := mimoProblem(cons)
-			if err != nil {
-				return 0, err
-			}
-			p.GreedyChi = greedy
-			s, err := solve(p, workers)
-			if err != nil {
-				return 0, err
-			}
-			return s.BusTime, nil
-		}
-		exact, err := run(false)
+		full, err := fullyConstrained(fig2, level)
 		if err != nil {
 			return nil, err
 		}
-		greedy, err := run(true)
+		p, err := mimoProblem(level, mimoActuators)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, A4Row{Level: level, ExactBus: exact, GreedyBus: greedy})
+		p.GreedyChi = true
+		s, err := solve(p, workers)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, A4Row{Level: level, ExactBus: full.BusTime, GreedyBus: s.BusTime})
 	}
 	return out, nil
 }
@@ -560,21 +552,22 @@ func AblationA5(workers, runs int, seed int64) ([]A5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	var out []A5Row
 	// Reference: the abstract executor.
-	seqs, err := d.Run(runs, rng)
+	seqs, err := d.Run(runs, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, A5Row{GuardUS: -1, HitRate: seqs[last.ID].HitRate(), BeaconRate: 1})
 	period := s.Makespan + 500_000
+	// Every guard runs on the same draws, so rows differ by the guard
+	// alone.
 	for _, guard := range []float64{0, 25, 100, 500} {
 		r, err := sim.NewRunner(d, sim.ClockConfig{DriftPPM: 60, SyncJitterUS: 2, GuardUS: guard}, period)
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.Run(runs, rng)
+		res, err := r.RunSeeded(runs, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -55,8 +55,8 @@ func (r *record) solve(workers int) error {
 		{"fig4", func() (err error) { r.fig4, err = Fig4Pareto(workers); return }},
 		{"diameter", func() (err error) { r.diameter, err = DiameterSweep(workers); return }},
 		{"ablation_a2", func() (err error) { r.a2, err = AblationA2(workers); return }},
-		{"ablation_a3", func() (err error) { r.a3, err = AblationA3(workers); return }},
-		{"ablation_a4", func() (err error) { r.a4, err = AblationA4(workers); return }},
+		{"ablation_a3", func() (err error) { r.a3, err = AblationA3(workers, r.fig2); return }},
+		{"ablation_a4", func() (err error) { r.a4, err = AblationA4(workers, r.fig2); return }},
 		{"ablation_a5", func() (err error) { r.a5, err = AblationA5(workers, a5Runs, a5Seed); return }},
 		{"ablation_a6", func() (err error) { r.a6, err = AblationA6(workers); return }},
 	}

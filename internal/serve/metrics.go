@@ -124,7 +124,6 @@ func (m *metrics) writeProm(w io.Writer, cacheLen int, sess sessionAgg) {
 	counter("netdag_session_mode_switches_total", "Transitions between active and degraded operation.", sess.stats.ModeSwitches)
 	counter("netdag_session_recoveries_total", "Re-solve successes that retired a degraded mode.", sess.stats.Recoveries)
 	counter("netdag_session_resolves_total", "Session re-solve attempts.", sess.stats.Resolves)
-	counter("netdag_session_warm_hits_total", "Re-solves whose warm-start bound admitted the new optimum.", sess.stats.WarmHits)
 	gauge("netdag_inflight_solves", "Solves currently running.", m.inflight.Load())
 	gauge("netdag_inflight_campaigns", "Certification campaigns currently running.", m.inflightCampaigns.Load())
 	gauge("netdag_queue_depth", "Solves waiting for a worker slot.", m.queued.Load())

@@ -272,11 +272,11 @@ func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 	}
 }
 
-// TestWarmHintNotTakenFromIncompleteResults: a deadline-interrupted
+// TestIncompleteResultNeverCachedOrJournaled: a deadline-interrupted
 // incumbent is neither cached nor journaled, so no later request (nor a
 // restarted instance) is ever answered from an unproven result. The
 // repeat solves afresh, and only its complete schedule is kept.
-func TestWarmHintNotTakenFromIncompleteResults(t *testing.T) {
+func TestIncompleteResultNeverCachedOrJournaled(t *testing.T) {
 	first := true
 	s := New(Config{
 		SolveFn: func(ctx context.Context, p *core.Problem) (*core.Schedule, error) {

@@ -54,7 +54,6 @@ func addStats(a *session.Stats, b session.Stats) {
 	a.ModeSwitches += b.ModeSwitches
 	a.Recoveries += b.Recoveries
 	a.Resolves += b.Resolves
-	a.WarmHits += b.WarmHits
 }
 
 func (s *Server) sessionAggregate() sessionAgg {

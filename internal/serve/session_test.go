@@ -73,6 +73,9 @@ func TestSessionEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status: %d %s", rec.Code, rec.Body)
 	}
+	if strings.Contains(rec.Body.String(), "warm") {
+		t.Errorf("status reports warm starts: %s", rec.Body)
+	}
 	var view session.StatusView
 	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
 		t.Fatal(err)
@@ -127,6 +130,9 @@ func TestSessionEndpoints(t *testing.T) {
 
 	// Metrics carry the session aggregates.
 	rec = doJSON(t, s, http.MethodGet, "/metrics", "")
+	if strings.Contains(rec.Body.String(), "warm") {
+		t.Error("metrics report warm starts")
+	}
 	for _, want := range []string{
 		"netdag_sessions 1",
 		"netdag_session_events_total 2",

@@ -273,8 +273,8 @@ func RunLoop(ctx context.Context, s *Session, cfg LoopConfig) (*LoopResult, erro
 		}
 
 		// Heartbeat: keep the journal moving even on a quiet iteration —
-		// a same-node placement event is a semantic no-op whose re-solve
-		// exercises the warm-start fast path.
+		// a same-node placement event is a semantic no-op that re-solves
+		// the unchanged description.
 		if res.Events == applied {
 			hb := s.File().Tasks[0]
 			if err := apply(Event{Kind: KindPlacement, Task: hb.Name, Node: hb.Node}); err != nil {

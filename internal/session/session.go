@@ -2,9 +2,8 @@
 // adaptive rescheduling: a session owns the current certified schedule
 // and accepts a stream of deltas — task join/leave, placement changes,
 // diameter changes from mobility profiles, degraded link quality fed
-// back from fault-campaign certification — re-solving incrementally by
-// warm-starting the search with the previous schedule's makespan
-// (core.Problem.WarmMakespan).
+// back from fault-campaign certification — re-solving the changed
+// description with one complete search.
 //
 // Robustness is the contract:
 //
@@ -96,9 +95,6 @@ type Entry struct {
 	// Attempts is how many solve attempts the event consumed (0 when no
 	// solve ran, e.g. malformed events).
 	Attempts int `json:"attempts,omitempty"`
-	// WarmHit records that the warm-start bound admitted the new optimum
-	// (the re-solve did not regress past the previous makespan).
-	WarmHit bool `json:"warmHit,omitempty"`
 	// SafeDiameter is the installed safe mode's diameter (degraded
 	// entries only).
 	SafeDiameter int    `json:"safeDiameter,omitempty"`
@@ -116,7 +112,10 @@ type Stats struct {
 	ModeSwitches  int64 `json:"modeSwitches"`
 	Recoveries    int64 `json:"recoveries"`
 	Resolves      int64 `json:"resolves"`
-	WarmHits      int64 `json:"warmHits"`
+	// WarmHits is always 0: re-solves carry no warm-start hint. It is
+	// kept, out of every JSON response, only for the benchmark harness
+	// that still reads it.
+	WarmHits int64 `json:"-"`
 }
 
 // Config tunes a session.
@@ -204,7 +203,7 @@ func New(ctx context.Context, f *spec.File, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, _, err := s.solveProven(ctx, prob, 0)
+	sched, _, err := s.solveProven(ctx, prob)
 	if err != nil {
 		return nil, fmt.Errorf("session: initial solve: %w", err)
 	}
@@ -303,10 +302,6 @@ func (s *Session) Apply(ctx context.Context, e Event) (Entry, error) {
 	closed := s.closed
 	file := s.file
 	prevState := s.state
-	var warm int64
-	if s.active != nil {
-		warm = s.active.Makespan
-	}
 	s.mu.RUnlock()
 	if closed {
 		return Entry{}, ErrClosed
@@ -319,14 +314,12 @@ func (s *Session) Apply(ctx context.Context, e Event) (Entry, error) {
 	}
 	var sched *core.Schedule
 	var attempts int
-	var warmHit bool
 	prob, err := buildProblem(nf, s.cfg)
 	if err == nil {
-		sched, attempts, warmHit, err = s.resolve(ctx, prob, warm)
+		sched, attempts, err = s.resolve(ctx, prob)
 	}
 	entry.Attempts = attempts
 	if sched != nil {
-		entry.WarmHit = warmHit
 		// The safe table must cover the new task set before the workload
 		// commits: a session whose fallback cannot host the admitted work
 		// would violate the degraded-operation contract at the worst time.
@@ -349,12 +342,12 @@ func (s *Session) Apply(ctx context.Context, e Event) (Entry, error) {
 	return s.commitDegraded(entry, nf, prevState, err), nil
 }
 
-// resolve runs the re-solve retry loop: warm-started attempts under the
-// per-attempt deadline, backoff between retries, deterministic failures
-// surfaced immediately. Only a schedule that is proven optimal AND
-// revalidates against the application is ever returned — anything less
-// counts as a rejected swap.
-func (s *Session) resolve(ctx context.Context, p *core.Problem, warm int64) (*core.Schedule, int, bool, error) {
+// resolve runs the re-solve retry loop: attempts under the per-attempt
+// deadline, backoff between retries, deterministic failures surfaced
+// immediately. Only a schedule that is proven optimal AND revalidates
+// against the application is ever returned — anything less counts as a
+// rejected swap.
+func (s *Session) resolve(ctx context.Context, p *core.Problem) (*core.Schedule, int, error) {
 	s.mu.Lock()
 	s.resolving = true
 	s.mu.Unlock()
@@ -369,30 +362,29 @@ func (s *Session) resolve(ctx context.Context, p *core.Problem, warm int64) (*co
 			s.cfg.Sleep(s.cfg.Backoff.Delay(a-1, s.rng))
 		}
 		if ctx.Err() != nil {
-			return nil, a, false, ctx.Err()
+			return nil, a, ctx.Err()
 		}
-		sched, retryable, err := s.solveProven(ctx, p, warm)
+		sched, retryable, err := s.solveProven(ctx, p)
 		if err == nil {
-			return sched, a + 1, warm > 0 && sched.Makespan <= warm, nil
+			return sched, a + 1, nil
 		}
 		lastErr = err
 		if !retryable {
-			return nil, a + 1, false, lastErr
+			return nil, a + 1, lastErr
 		}
 	}
-	return nil, s.cfg.MaxAttempts, false, lastErr
+	return nil, s.cfg.MaxAttempts, lastErr
 }
 
 // solveProven runs one solve attempt and enforces the never-swap-to-
 // unproven invariant. retryable is true only for per-attempt deadline
 // expiry — the single transient failure mode.
-func (s *Session) solveProven(ctx context.Context, p *core.Problem, warm int64) (*core.Schedule, bool, error) {
+func (s *Session) solveProven(ctx context.Context, p *core.Problem) (*core.Schedule, bool, error) {
 	actx := ctx
 	cancel := func() {}
 	if s.cfg.ResolveDeadline > 0 {
 		actx, cancel = context.WithTimeout(ctx, s.cfg.ResolveDeadline)
 	}
-	p.WarmMakespan = warm
 	start := time.Now()
 	sched, err := core.SolveContext(actx, p)
 	cancel()
@@ -471,9 +463,6 @@ func (s *Session) commitApplied(entry Entry, nf *spec.File, prob *core.Problem, 
 	entry.BusTime = sched.BusTime
 	s.stats.Events++
 	s.stats.Applied++
-	if entry.WarmHit {
-		s.stats.WarmHits++
-	}
 	s.appendLocked(&entry)
 	return entry
 }

@@ -65,8 +65,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if e.Outcome != OutcomeApplied || e.State != StateActive || e.Seq != 2 || e.Attempts != 1 {
 		t.Fatalf("placement entry = %+v", e)
 	}
-	if !e.WarmHit {
-		t.Errorf("co-locating two pipeline stages should not regress the makespan; entry = %+v", e)
+	if e.Makespan > initMakespan {
+		t.Errorf("co-locating two pipeline stages should not raise the makespan above %d; entry = %+v", initMakespan, e)
 	}
 
 	// A malformed event is journaled as rejected, not an error.
@@ -113,7 +113,6 @@ func TestSessionLifecycle(t *testing.T) {
 	if v := s.Status(); v.State != StateActive || v.Seq != 5 || v.Tasks != 3 || !v.Optimal {
 		t.Errorf("status = %+v", v)
 	}
-	_ = initMakespan
 }
 
 func errorsContains(s, sub string) bool { return bytes.Contains([]byte(s), []byte(sub)) }

@@ -15,9 +15,13 @@ import (
 // Runner executes a deployed schedule repeatedly on a global timeline
 // with per-node clocks. The model, following LWB practice:
 //
-//   - Beacon floods are receivable by every node — a node that has lost
-//     synchronization keeps its radio listening to rejoin, so capturing
-//     a beacon is how it resynchronizes.
+//   - A synchronized node wakes for a round at the time its clock
+//     predicts. Once its clock error exceeds the guard window it wakes
+//     at the wrong time: it misses that round's beacon and slots and
+//     becomes unsynchronized.
+//   - An unsynchronized node keeps its radio listening to rejoin:
+//     capturing any beacon that reaches it resynchronizes it. The host
+//     sends the beacon, so it always has it.
 //   - Contention-free slots demand tight alignment: a node participates
 //     in a slot flood (as initiator or relay/receiver) only while its
 //     clock error fits the guard window.
@@ -137,16 +141,25 @@ func (r *Runner) Run(runs int, rng *rand.Rand) (*Result, error) {
 				blackout = inj.blackout(t) || !up[d.Host]
 			}
 			inGuard := make([]bool, n)
+			listening := make([]bool, n)
 			for v, c := range clocks {
 				c.advance(t)
 				inGuard[v] = c.inGuard()
 				if !inGuard[v] {
 					desyncPairs++
 				}
+				// A node that believes it is synchronized but has drifted
+				// past its guard wakes too early or too late for this
+				// round's beacon and drops to listening from then on.
+				listening[v] = inGuard[v] || !c.synced || v == d.Host
+				if !listening[v] {
+					c.synced = false
+				}
 			}
-			// Beacon flood: receivable by everyone still powered (the
-			// rejoin path) — unless the beacon is blacked out or the host
-			// itself is down, in which case nobody hears the round layout.
+			// Beacon flood: captured by every powered node that is
+			// listening for it — unless the beacon is blacked out or the
+			// host itself is down, in which case nobody hears the round
+			// layout.
 			beaconPairs += n
 			if blackout {
 				beaconHeard[ri] = make([]bool, n)
@@ -162,7 +175,7 @@ func (r *Runner) Run(runs int, rng *rand.Rand) (*Result, error) {
 				}
 				beaconHeard[ri] = fr.Received
 				for v, got := range fr.Received {
-					if got && (up == nil || up[v]) {
+					if got && listening[v] && (up == nil || up[v]) {
 						capturedPairs++
 						clocks[v].resync(t, rng)
 						inGuard[v] = clocks[v].inGuard()

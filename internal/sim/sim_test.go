@@ -140,6 +140,43 @@ func TestZeroGuardBreaksSlots(t *testing.T) {
 	}
 }
 
+// TestDriftPastGuardLosesRoundAndRejoins: a node whose clock drifts past
+// its guard misses that round's beacon and slots, then rejoins on the
+// next beacon. With perfect links and no jitter, the guard covers the
+// drift between a run's two rounds but not the 10 s gap to the next run,
+// so from the second run on both non-host nodes lose each run's first
+// round, and with it stage1's input.
+func TestDriftPastGuardLosesRoundAndRejoins(t *testing.T) {
+	d := deploy(t, 1)
+	rounds := d.Sched.Rounds
+	if len(rounds) != 2 || d.Host != 0 {
+		t.Fatalf("want 2 rounds hosted on node 0, got %d rounds on node %d", len(rounds), d.Host)
+	}
+	cfg := ClockConfig{DriftPPM: 100}
+	cfg.GuardUS = cfg.DriftPPM*float64(rounds[1].Start-rounds[0].Start)/1e6 + 1
+	r, err := NewRunner(d, cfg, d.Sched.Makespan+10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	res, err := r.Run(runs, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, _ := d.App.TaskByName("stage2")
+	for k, hit := range res.TaskSeqs[last.ID] {
+		if hit != (k == 0) {
+			t.Errorf("run %d: end task hit = %v, want a hit only in the first run", k, hit)
+		}
+	}
+	// Each drifted node misses one beacon per run after the first.
+	n := d.Topo.NumNodes()
+	pairs := n * len(rounds) * runs
+	if want := float64(pairs-(n-1)*(runs-1)) / float64(pairs); res.BeaconCaptureRate != want {
+		t.Errorf("beacon capture rate %v, want %v", res.BeaconCaptureRate, want)
+	}
+}
+
 func TestLongPeriodNeedsBiggerGuard(t *testing.T) {
 	// Stretching the period (more drift between beacons) with a tight
 	// guard must raise the desync rate.
