@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/netdag/netdag/internal/dag"
 )
@@ -24,8 +23,7 @@ func GlobalNTXBaseline(p *Problem) (*Schedule, error) {
 		return nil, err
 	}
 	assign := lg.EarliestAssignment()
-	msgs := p.App.Messages()
-	nMsgs := len(msgs)
+	nMsgs := len(p.msgs)
 	rounds := lg.MinRounds()
 
 	for n := 1; n <= p.MaxNTX; n++ {
@@ -38,46 +36,24 @@ func GlobalNTXBaseline(p *Problem) (*Schedule, error) {
 		}
 		return p.place(context.Background(), &placeTemplate{}, assign, chi, rounds, -1)
 	}
-	return nil, fmt.Errorf("%w: no global N_TX within 1..%d meets the constraints", ErrUnsat, p.MaxNTX)
+	return nil, fmt.Errorf("%w: no global N_TX within %d..%d meets the constraints", ErrUnsat, p.MinNTX, p.MaxNTX)
 }
 
-// globalNTXFeasible checks every task-level constraint under a uniform
-// χ = n.
+// globalNTXFeasible checks the χ domain and every chiCon under a uniform
+// χ = n, with the χ search's own tests: n is at least MinNTX and every
+// constraint's window floor, and each constraint's deficit sum over its
+// floods stays within its budget.
 func (p *Problem) globalNTXFeasible(assign []int, nMsgs, n int) bool {
-	marks := make([]bool, roundCount(assign))
-	var floods []int
-	switch p.Mode {
-	case Soft:
-		lam := p.SoftStat.SuccessProb(n)
-		for id, target := range p.SoftCons {
-			floods = predFloods(floods[:0], marks, p.ancestors[id], assign, nMsgs)
-			if len(floods) == 0 || target <= 0 {
-				continue
-			}
-			if target >= 1 {
-				return false
-			}
-			if math.Pow(lam, float64(len(floods))) < target-chiEps {
-				return false
-			}
-		}
-		return true
-	case WeaklyHard:
-		g := p.WHStat.MissConstraint(n)
-		for id, target := range p.WHCons {
-			floods = predFloods(floods[:0], marks, p.ancestors[id], assign, nMsgs)
-			if len(floods) == 0 || target.Trivial() {
-				continue
-			}
-			if g.Window < target.Window {
-				return false
-			}
-			if len(floods)*g.Misses > target.Misses {
-				return false
-			}
-		}
-		return true
-	default:
+	if n < p.MinNTX {
 		return false
 	}
+	marks := make([]bool, roundCount(assign))
+	var floods []int
+	for _, c := range p.chiCons {
+		floods = predFloods(floods[:0], marks, c.msgs, assign, nMsgs)
+		if n < c.floor || float64(len(floods))*p.defCol[n-1] > c.budget+chiEps {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
-	"github.com/netdag/netdag/internal/apps"
-	"github.com/netdag/netdag/internal/dag"
 	"github.com/netdag/netdag/internal/glossy"
 	"github.com/netdag/netdag/internal/wh"
 )
@@ -57,29 +58,33 @@ func TestNETDAGNeverWorseThanBaselineSoft(t *testing.T) {
 }
 
 func TestNETDAGNeverWorseThanBaselineWH(t *testing.T) {
-	g, err := apps.MIMO(apps.DefaultMIMO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons := make(map[dag.TaskID]wh.MissConstraint)
-	for _, a := range apps.Actuators(g) {
-		cons[a] = wh.MissConstraint{Misses: 24, Window: 40}
-	}
-	p := &Problem{
-		App: g, Params: glossy.DefaultParams(), Diameter: 4,
-		Mode: WeaklyHard, WHStat: glossy.SyntheticWH{}, WHCons: cons,
-		GreedyChi: true,
-	}
-	netdag, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := GlobalNTXBaseline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if netdag.BusTime > base.BusTime {
-		t.Errorf("NETDAG bus time %d worse than global-N_TX baseline %d", netdag.BusTime, base.BusTime)
+	// MinNTX 7 lies above the χ the constraints need, so both schedulers
+	// must raise every flood to it.
+	for _, minNTX := range []int{0, 7} {
+		p := benchMIMOProblem(t, true)
+		p.MinNTX = minNTX
+		netdag, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := GlobalNTXBaseline(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if netdag.BusTime > base.BusTime {
+			t.Errorf("MinNTX %d: NETDAG bus time %d worse than global-N_TX baseline %d",
+				minNTX, netdag.BusTime, base.BusTime)
+		}
+		for _, r := range base.Rounds {
+			if r.BeaconNTX < p.MinNTX {
+				t.Errorf("MinNTX %d: baseline beacon of round %d at χ = %d", minNTX, r.Index, r.BeaconNTX)
+			}
+			for _, sl := range r.Slots {
+				if sl.NTX < p.MinNTX {
+					t.Errorf("MinNTX %d: baseline slot of message %d at χ = %d", minNTX, sl.Msg, sl.NTX)
+				}
+			}
+		}
 	}
 }
 
@@ -89,5 +94,41 @@ func TestBaselineUnsat(t *testing.T) {
 	p.MaxNTX = 2
 	if _, err := GlobalNTXBaseline(p); err == nil {
 		t.Error("baseline satisfied an unreachable target")
+	}
+
+	// A constraint no χ meets on any round assignment fails before any
+	// search, naming its task, at every entry point: under a cap that
+	// prunes every assignment too.
+	window := func() (*Problem, string) {
+		p := benchMIMOProblem(t, false)
+		for a := range p.WHCons {
+			p.WHCons[a] = wh.MissConstraint{Misses: 24, Window: 1000}
+		}
+		return p, "act0"
+	}
+	certain := func() (*Problem, string) {
+		p, _ := softPipeline(t, 1)
+		return p, "stage2"
+	}
+	entries := []struct {
+		name string
+		run  func(*Problem) error
+	}{
+		{"Solve", func(p *Problem) error { _, err := Solve(p); return err }},
+		{"Solve/cap", func(p *Problem) error { p.MakespanCap = 1; _, err := Solve(p); return err }},
+		{"GlobalNTXBaseline", func(p *Problem) error { _, err := GlobalNTXBaseline(p); return err }},
+		{"ParetoFront", func(p *Problem) error { _, err := ParetoFront(p); return err }},
+	}
+	for _, row := range []struct {
+		name string
+		mk   func() (*Problem, string)
+	}{{"window", window}, {"soft target 1", certain}} {
+		for _, e := range entries {
+			p, task := row.mk()
+			err := e.run(p)
+			if !errors.Is(err, ErrUnsat) || !strings.Contains(fmt.Sprint(err), fmt.Sprintf("task %q", task)) {
+				t.Errorf("%s, %s: err = %v, want ErrUnsat naming task %q", row.name, e.name, err, task)
+			}
+		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"github.com/netdag/netdag/internal/wh"
 )
 
-func benchMIMOProblem(b *testing.B, greedy bool) *Problem {
-	b.Helper()
+func benchMIMOProblem(tb testing.TB, greedy bool) *Problem {
+	tb.Helper()
 	g, err := apps.MIMO(apps.DefaultMIMO())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cons := make(map[dag.TaskID]wh.MissConstraint)
 	for _, a := range apps.Actuators(g) {

@@ -48,8 +48,15 @@ func distinctChiInstances(t *testing.T, p *Problem) int {
 	if maxRounds == 0 {
 		maxRounds = lg.MinRounds() + DefaultExtraRounds
 	}
+	ancestors := map[dag.TaskID][]dag.MsgID{}
+	for id := range p.SoftCons {
+		ancestors[id] = p.App.MsgAncestors(id)
+	}
+	for id := range p.WHCons {
+		ancestors[id] = p.App.MsgAncestors(id)
+	}
 	var tasks []dag.TaskID
-	for id := range p.ancestors {
+	for id := range ancestors {
 		tasks = append(tasks, id)
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
@@ -62,7 +69,7 @@ func distinctChiInstances(t *testing.T, p *Problem) int {
 		sig := fmt.Sprint(rounds)
 		for _, id := range tasks {
 			set := map[int]bool{}
-			for _, m := range p.ancestors[id] {
+			for _, m := range ancestors[id] {
 				set[l[m]] = true
 			}
 			var rs []int

@@ -243,10 +243,10 @@ func TestInstanceSymmetryEquivalence(t *testing.T) {
 	}
 }
 
-// TestChiFloorDPMatchesLegacy cross-checks the reverse-topological
-// chi-floor DP in newSearch against the definition it replaced: for the
-// AV fixture and the golden MIMO shape, chiFloor[m] must equal the
-// maximum window floor over constrained tasks m reaches via data edges.
+// TestChiFloorDPMatchesLegacy cross-checks the χ floors newSearch reads
+// from chiCons against their definition: for the AV fixture,
+// chiFloor[m] must equal the maximum window floor over constrained tasks
+// m reaches via data edges.
 func TestChiFloorDPMatchesLegacy(t *testing.T) {
 	check := func(name string, p *Problem) {
 		t.Helper()

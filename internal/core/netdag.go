@@ -112,9 +112,9 @@ type search struct {
 	// context expires at the finish line.
 	interrupted atomic.Bool
 	// chiFloor[m] is a lower bound on χ for message m's slot in any
-	// feasible schedule. In weakly-hard mode it comes from the per-flood
-	// guarantee-window requirements (minNTXForWindow over every
-	// constrained task the message feeds); in soft mode it is 1.
+	// feasible schedule: the strongest weakly-hard window floor among the
+	// chiCons whose ancestor messages include m, and never below MinNTX
+	// (soft constraints put no floor on a flood).
 	chiFloor []int
 	// slotFloor is the assignment-independent part of the bus-time lower
 	// bound: every message slot at its χ floor.
@@ -156,58 +156,20 @@ func newSearch(ctx context.Context, p *Problem, lg *dag.LineGraph, maxRounds int
 		lg:        lg,
 		maxRounds: maxRounds,
 		cpWCET:    p.App.CriticalPathWCET(),
-		chiFloor:  make([]int, p.App.NumMessages()),
+		chiFloor:  make([]int, len(p.msgs)),
 	}
 	for m := range s.chiFloor {
 		s.chiFloor[m] = p.MinNTX
 	}
-	if p.Mode == WeaklyHard && !p.NoChiFloors {
-		// chiFloor[m] must be the strongest window floor demanded by any
-		// constrained task m can affect. Instead of one ancestor walk per
-		// constrained task — O(K·graph), and a rate-r unrolling multiplies
-		// K by r — a single reverse-topological DP computes up[t], the
-		// maximum floor over constrained tasks reachable from t via data
-		// edges (t included), and each message takes the max over its
-		// consumers. Identical floors to the per-task walks: m is an
-		// ancestor of τ exactly when some consumer of m reaches τ over
-		// data edges.
-		up := make([]int, p.App.NumTasks())
-		for _, t := range p.App.Tasks() {
-			target, has := p.WHCons[t.ID]
-			if !has || target.Trivial() {
-				continue
-			}
-			minN := p.windowFloor[target.Window]
-			if minN < 0 {
-				// The instance is unsat; scheduleForAssignment reports it
-				// with the offending task. Clamp so the bound stays valid.
-				minN = p.MaxNTX
-			}
-			up[t.ID] = minN
-		}
-		// The application validated, so a topological order exists.
-		order, _ := p.App.TopoOrder()
-		for i := len(order) - 1; i >= 0; i-- {
-			id := order[i]
-			for _, succ := range p.App.Succs(id) {
-				if p.App.OrderOnly(id, succ) {
-					continue
-				}
-				if up[succ] > up[id] {
-					up[id] = up[succ]
-				}
-			}
-		}
-		for _, m := range p.App.Messages() {
-			for _, d := range m.Dests {
-				if up[d] > s.chiFloor[m.ID] {
-					s.chiFloor[m.ID] = up[d]
-				}
+	if !p.NoChiFloors {
+		for _, c := range p.chiCons {
+			for _, m := range c.msgs {
+				s.chiFloor[m] = max(s.chiFloor[m], c.floor)
 			}
 		}
 	}
 	for _, m := range p.msgs {
-		s.slotFloor += p.Params.SlotDuration(s.chiFloor[m.ID], m.Width, p.Diameter)
+		s.slotFloor += p.costByWidth[m.Width][s.chiFloor[m.ID]-1]
 		s.chargeFloor += p.chargeByWidth[m.Width][s.chiFloor[m.ID]-1]
 	}
 	s.beaconDur = p.costByWidth[p.Params.BeaconWidth]
@@ -407,15 +369,11 @@ func (p *Problem) scheduleForAssignment(ctx context.Context, sc *scratch, assign
 	return sched, err
 }
 
-// chiFor returns the solved χ entry of assign's instance, or the
-// per-task error that makes every instance of the solve unsatisfiable.
-// With the memo on, the key comes straight from the assignment, so a hit
-// builds no instance; a miss fills ci, the consumer's χ scratch, solves
-// it and stores the entry.
+// chiFor returns the solved χ entry of assign's instance. With the memo
+// on, the key comes straight from the assignment, so a hit builds no
+// instance; a miss fills ci, the consumer's χ scratch, solves it and
+// stores the entry.
 func (p *Problem) chiFor(ci *chiInstance, assign []int, rounds int) chiMemoEntry {
-	if p.chiErr != nil {
-		return chiMemoEntry{err: p.chiErr}
-	}
 	if p.chiMemo == nil {
 		p.fillChi(ci, assign, rounds)
 		return ci.solveEntry(p.GreedyChi)

@@ -199,8 +199,6 @@ type Problem struct {
 	// per-assignment χ instance and by the outer search's admissibility
 	// bound (safe across parallel workers):
 	//
-	//   - ancestors: MsgAncestors per constrained task, so the hot path
-	//     stops re-walking the graph once per task per assignment;
 	//   - defCol: the per-level deficit column, identical for every
 	//     flood (it depends only on χ, not width);
 	//   - costByWidth: the per-level slot-duration column per distinct
@@ -208,26 +206,21 @@ type Problem struct {
 	//   - chargeByWidth: the per-level flood-charge column (pC) per
 	//     distinct width — the χ cost columns of the energy objective
 	//     and the terms of its admissibility bound;
-	//   - windowFloor: minNTXForWindow memoized per distinct window, so
-	//     a rate-r task's instances share one floor computed once, not r
-	//     times (-1 records an unsatisfiable window);
 	//   - msgs, tasks and succs: one immutable copy each of
 	//     App.Messages(), App.Tasks() and every task's App.Succs(), so
 	//     the per-assignment hot path (χ instance build and placement)
 	//     indexes them instead of copying them per call;
-	//   - chiCons and chiErr: the task-level constraints every χ
-	//     instance of the solve carries, and the error that makes every
-	//     instance unsatisfiable (see buildChiCons).
-	ancestors     map[dag.TaskID][]dag.MsgID
+	//   - chiCons: the task-level constraints as χ rows (see
+	//     buildChiCons), the one derivation that every χ instance, the
+	//     admissibility bound's χ floors and the global-N_TX baseline
+	//     read.
 	msgs          []dag.Message
 	tasks         []dag.Task
 	succs         [][]dag.TaskID
 	chiCons       []chiCon
-	chiErr        error
 	defCol        []float64
 	costByWidth   map[int][]int64
 	chargeByWidth map[int][]int64
-	windowFloor   map[int]int
 }
 
 // chiCon is one task-level constraint as every χ instance of a solve
@@ -259,8 +252,10 @@ var (
 	ErrUnsat         = errors.New("core: no feasible schedule satisfies the task-level constraints")
 )
 
-// normalize fills defaults and performs cheap validation shared by both
-// modes.
+// normalize fills defaults, performs cheap validation shared by both
+// modes and builds the per-solve caches. It returns the first task-level
+// constraint that no χ can satisfy (see buildChiCons), so every entry
+// point rejects it before any search.
 func (p *Problem) normalize() error {
 	if p.App == nil {
 		return errors.New("core: nil application")
@@ -369,32 +364,20 @@ func (p *Problem) normalize() error {
 		return fmt.Errorf("core: unknown mode %v", p.Mode)
 	}
 	p.buildSearchCaches()
-	return nil
+	return p.buildChiCons()
 }
 
 // buildSearchCaches precomputes the per-solve read-only tables the
-// per-assignment hot path consults: message ancestors per constrained
-// task, the shared deficit column, slot-cost columns per width, and the
-// per-window χ floor memo. All are immutable after normalize, so the
-// parallel workers share them freely.
+// per-assignment hot path consults: the task, successor and message
+// copies, the shared deficit column, and the slot-cost and charge columns
+// per width. All are immutable after normalize, so the parallel workers
+// share them freely.
 func (p *Problem) buildSearchCaches() {
 	p.msgs = p.App.Messages()
 	p.tasks = p.App.Tasks()
 	p.succs = make([][]dag.TaskID, len(p.tasks))
 	for i := range p.succs {
 		p.succs[i] = p.App.Succs(dag.TaskID(i))
-	}
-	p.ancestors = make(map[dag.TaskID][]dag.MsgID, len(p.SoftCons)+len(p.WHCons))
-	record := func(id dag.TaskID) {
-		if _, ok := p.ancestors[id]; !ok {
-			p.ancestors[id] = p.App.MsgAncestors(id)
-		}
-	}
-	for id := range p.SoftCons {
-		record(id)
-	}
-	for id := range p.WHCons {
-		record(id)
 	}
 	p.defCol = make([]float64, p.MaxNTX)
 	for n := 1; n <= p.MaxNTX; n++ {
@@ -429,20 +412,6 @@ func (p *Problem) buildSearchCaches() {
 	for _, m := range p.msgs {
 		addWidth(m.Width)
 	}
-	p.windowFloor = make(map[int]int, len(p.WHCons))
-	if p.Mode == WeaklyHard {
-		for _, c := range p.WHCons {
-			if _, ok := p.windowFloor[c.Window]; ok {
-				continue
-			}
-			if n, ok := p.minNTXForWindow(c.Window); ok {
-				p.windowFloor[c.Window] = n
-			} else {
-				p.windowFloor[c.Window] = -1
-			}
-		}
-	}
-	p.buildChiCons()
 }
 
 // buildChiCons turns the task-level constraints into chiCons, in task-ID
@@ -450,43 +419,52 @@ func (p *Problem) buildSearchCaches() {
 // cost ties inside the χ search — are deterministic across runs. A task
 // without networked dependencies is trivially satisfied, as is a
 // non-positive soft target or a trivial weakly-hard one; weakly-hard
-// constraints additionally impose per-flood window lower bounds. None of
-// this depends on the round assignment, so neither does the first
-// unsatisfiable constraint in task-ID order: chiErr records it, and
-// every assignment that reaches the χ stage reports it.
-func (p *Problem) buildChiCons() {
-	p.chiCons, p.chiErr = nil, nil
+// constraints additionally impose a window floor on each of their
+// floods, computed once per distinct window. None of this depends on the
+// round assignment, so neither does an unsatisfiable constraint — a soft
+// target of 1, or a window no χ within MaxNTX provides: the first in
+// task-ID order is returned, before any search runs.
+func (p *Problem) buildChiCons() error {
+	p.chiCons = nil
+	floors := make(map[int]int) // minNTXForWindow per window, 0 for none
 	for _, t := range p.tasks {
-		msgs := p.ancestors[t.ID]
-		var c chiCon
+		c := chiCon{task: t.Name}
 		switch p.Mode {
 		case Soft:
 			target, has := p.SoftCons[t.ID]
-			if !has || len(msgs) == 0 || target <= 0 {
+			if !has || target <= 0 {
+				continue
+			}
+			if c.msgs = p.App.MsgAncestors(t.ID); len(c.msgs) == 0 {
 				continue
 			}
 			if target >= 1 {
-				p.chiErr = fmt.Errorf("%w: task %q demands probability 1 over a lossy bus",
+				return fmt.Errorf("%w: task %q demands probability 1 over a lossy bus",
 					ErrUnsat, t.Name)
-				return
 			}
-			c = chiCon{budget: -math.Log(target)}
+			c.budget = -math.Log(target)
 		case WeaklyHard:
 			target, has := p.WHCons[t.ID]
-			if !has || len(msgs) == 0 || target.Trivial() {
+			if !has || target.Trivial() {
 				continue
 			}
-			c.floor = p.windowFloor[target.Window]
-			if c.floor < 0 {
-				p.chiErr = fmt.Errorf("%w: task %q needs a %d-round guarantee window; statistic cannot provide it within MaxNTX=%d",
-					ErrUnsat, t.Name, target.Window, p.MaxNTX)
-				return
+			if c.msgs = p.App.MsgAncestors(t.ID); len(c.msgs) == 0 {
+				continue
 			}
-			c.budget = float64(target.Misses)
+			floor, ok := floors[target.Window]
+			if !ok {
+				floor, _ = p.minNTXForWindow(target.Window)
+				floors[target.Window] = floor
+			}
+			if floor == 0 {
+				return fmt.Errorf("%w: task %q needs a %d-round guarantee window; statistic cannot provide it within MaxNTX=%d",
+					ErrUnsat, t.Name, target.Window, p.MaxNTX)
+			}
+			c.budget, c.floor = float64(target.Misses), floor
 		}
-		c.task, c.msgs = t.Name, msgs
 		p.chiCons = append(p.chiCons, c)
 	}
+	return nil
 }
 
 // validateSoftStructure enforces the §III-B structure: along every

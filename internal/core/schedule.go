@@ -79,14 +79,6 @@ func (s *Schedule) SlotNTX(m dag.MsgID) (int, bool) {
 	return 0, false
 }
 
-// RoundOf returns the round carrying message m.
-func (s *Schedule) RoundOf(m dag.MsgID) (Round, bool) {
-	if int(m) < 0 || int(m) >= len(s.Assign) {
-		return Round{}, false
-	}
-	return s.Rounds[s.Assign[m]], true
-}
-
 // String renders a human-readable timeline.
 func (s *Schedule) String() string {
 	var b strings.Builder

@@ -18,13 +18,14 @@ import (
 // assignment where a class's round vectors descend is a later,
 // never-better duplicate.
 //
-// A class member is an ordered tuple of messages. The original flood
-// interchange (PR 6) is the tuple-length-1 case: messages of equal width
-// with identical destination sets and mutually indistinguishable pure
-// producer sources. The multi-rate generalization takes tuples from
-// Problem.InstanceChains — the phase-ordered instances of one base task
-// emitted by multirate.Unroll — so the r! orderings of r identical job
-// chains (three cameras at rate 2, say) collapse to one.
+// A class member is an ordered tuple of messages: those of one chain of
+// tasks, built by chainTuple. The flood interchange is the one-task
+// chain: messages of equal width with identical destination sets and
+// mutually indistinguishable pure producer sources. The multi-rate
+// generalization takes longer chains from Problem.InstanceChains — the
+// phase-ordered instances of one base task emitted by multirate.Unroll —
+// so the r! orderings of r identical job chains (three cameras at rate
+// 2, say) collapse to one.
 //
 // Interchangeability is structural and verified here, never assumed from
 // the metadata. For a chain tuple every member chain must be pure — the
@@ -72,20 +73,13 @@ import (
 // (size >= 2, members in ascending MsgID-tuple order). Each class is a
 // slice of members; each member a phase-ordered MsgID tuple.
 func (p *Problem) interchangeClasses() [][][]dag.MsgID {
-	app := p.App
-	preds := make([]int, app.NumTasks())
-	for _, t := range app.Tasks() {
-		for _, s := range app.Succs(t.ID) {
-			preds[s]++
-		}
-	}
 	groups := make(map[string][][]dag.MsgID)
 	// Chain tuples from the multi-rate instance metadata. Sources claimed
 	// by a qualifying chain are excluded from the singleton pass below so
 	// no message lands in two classes.
 	claimed := make(map[dag.MsgID]bool)
 	for _, chain := range p.InstanceChains {
-		key, msgs, ok := p.chainTuple(chain, preds)
+		key, msgs, ok := p.chainTuple(chain)
 		if !ok {
 			continue
 		}
@@ -94,34 +88,15 @@ func (p *Problem) interchangeClasses() [][][]dag.MsgID {
 			claimed[m] = true
 		}
 	}
-	// Singleton tuples: the original flood-interchange conditions.
-	for _, m := range app.Messages() {
+	// Singleton tuples: every other message is the one-task chain of its
+	// source.
+	for _, m := range p.App.Messages() {
 		if claimed[m.ID] {
 			continue
 		}
-		src := app.Task(m.Source)
-		// The source must be indistinguishable from another class member's:
-		// a pure producer whose only successors are the message's
-		// destinations, with no timing constraints of its own.
-		if preds[m.Source] != 0 || len(app.Succs(m.Source)) != len(m.Dests) {
-			continue
+		if key, msgs, ok := p.chainTuple([]dag.TaskID{m.Source}); ok {
+			groups[key] = append(groups[key], msgs)
 		}
-		if _, ok := p.Deadlines[m.Source]; ok {
-			continue
-		}
-		if _, ok := p.ReleaseTimes[m.Source]; ok {
-			continue
-		}
-		dests := make([]int, len(m.Dests))
-		for i, d := range m.Dests {
-			dests[i] = int(d)
-		}
-		sort.Ints(dests)
-		soft, hasSoft := p.SoftCons[m.Source]
-		whc, hasWH := p.WHCons[m.Source]
-		key := fmt.Sprintf("w%d|c%d|%v|s%v,%t|h%v,%t",
-			m.Width, src.WCET, dests, soft, hasSoft, whc, hasWH)
-		groups[key] = append(groups[key], []dag.MsgID{m.ID})
 	}
 	keys := make([]string, 0, len(groups))
 	for k, ms := range groups {
@@ -147,12 +122,11 @@ func (p *Problem) interchangeClasses() [][][]dag.MsgID {
 // interchange conditions and renders its per-phase signature key plus
 // its phase-ordered message tuple. ok is false when the chain does not
 // qualify (wrong shape, constrained timing, nothing emitted) — the
-// metadata is advisory, never trusted.
-func (p *Problem) chainTuple(chain []dag.TaskID, preds []int) (string, []dag.MsgID, bool) {
+// metadata is advisory, never trusted. A one-task chain is a singleton
+// tuple: a pure producer whose only successors are its message's
+// destinations, with no timing constraints of its own.
+func (p *Problem) chainTuple(chain []dag.TaskID) (string, []dag.MsgID, bool) {
 	app := p.App
-	if len(chain) < 2 {
-		return "", nil, false // singleton pass covers length-1 chains
-	}
 	var key strings.Builder
 	var msgs []dag.MsgID
 	fmt.Fprintf(&key, "chain%d", len(chain))

@@ -9,7 +9,7 @@
 //   - integer start variables for every task and round, plus one
 //     makespan variable (ζ);
 //   - integer χ variables per message slot and round beacon, bounded by
-//     1..MaxNTX;
+//     MinNTX..MaxNTX (MinNTX 0 means 1);
 //   - precedence and non-overlap as linear constraints over starts, with
 //     round durations linear in χ (eq. 3, 4, 5);
 //   - the weakly-hard eq. (10) via per-flood miss/window lookup tables
@@ -66,6 +66,7 @@ func Encode(w io.Writer, p *core.Problem, assignment []int) error {
 	if maxNTX == 0 {
 		maxNTX = core.DefaultMaxNTX
 	}
+	minNTX := max(p.MinNTX, 1)
 
 	var b strings.Builder
 	b.WriteString("; NETDAG scheduling encoding (Wardega & Li, DATE 2020)\n")
@@ -90,10 +91,10 @@ func Encode(w io.Writer, p *core.Problem, assignment []int) error {
 	}
 	for r := 0; r < rounds; r++ {
 		fmt.Fprintf(&b, "(assert (>= rstart_%d 0))\n", r)
-		fmt.Fprintf(&b, "(assert (and (>= chi_beacon_%d 1) (<= chi_beacon_%d %d)))\n", r, r, maxNTX)
+		fmt.Fprintf(&b, "(assert (and (>= chi_beacon_%d %d) (<= chi_beacon_%d %d)))\n", r, minNTX, r, maxNTX)
 	}
 	for _, m := range msgs {
-		fmt.Fprintf(&b, "(assert (and (>= chi_msg_%d 1) (<= chi_msg_%d %d)))\n", m.ID, m.ID, maxNTX)
+		fmt.Fprintf(&b, "(assert (and (>= chi_msg_%d %d) (<= chi_msg_%d %d)))\n", m.ID, minNTX, m.ID, maxNTX)
 	}
 
 	// Round durations: eq. (3) as a linear term in the round's χs. With

@@ -44,6 +44,7 @@ func TestEncodeWeaklyHard(t *testing.T) {
 		"(declare-const chi_msg_0 Int)",
 		"(declare-const chi_beacon_0 Int)",
 		"(declare-const makespan Int)",
+		"(assert (and (>= chi_msg_0 1) (<= chi_msg_0 6)))",
 		"eq.10 misses for stage2",
 		"eq.10 window for stage2",
 		"(minimize makespan)",
@@ -55,6 +56,22 @@ func TestEncodeWeaklyHard(t *testing.T) {
 	}
 	if bal := balance(out); bal != 0 {
 		t.Errorf("unbalanced parentheses: %+d", bal)
+	}
+
+	// Encode does not normalize the problem, so it reads MinNTX itself:
+	// every χ domain is MinNTX..MaxNTX, as in the native solver.
+	p.MinNTX, p.MaxNTX = 7, 8
+	b.Reset()
+	if err := Encode(&b, p, assign); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"(assert (and (>= chi_msg_0 7) (<= chi_msg_0 8)))",
+		"(assert (and (>= chi_beacon_0 7) (<= chi_beacon_0 8)))",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("MinNTX 7: encoding missing %q", want)
+		}
 	}
 }
 
