@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/netdag/netdag/internal/apps"
 	"github.com/netdag/netdag/internal/dag"
 	"github.com/netdag/netdag/internal/glossy"
+	"github.com/netdag/netdag/internal/wh"
 )
 
 // TestSolveContextBackgroundMatchesSolve: the context-free entry point
@@ -153,6 +155,91 @@ func TestFinishLineExpiryKeepsOptimality(t *testing.T) {
 	}
 	if !s.Optimal || s.Makespan != ref.Makespan {
 		t.Errorf("optimal=%v makespan=%d, want true, %d", s.Optimal, s.Makespan, ref.Makespan)
+	}
+}
+
+// TestDeadlineAfterTierCutKeepsOptimality: once the tier cut fires,
+// nothing is left to decide, so a deadline that strikes after it must
+// not demote the search. On pipe8 at Workers = 1 the search evaluates
+// its 64 two-round assignments and stops the walk at the cut in fewer
+// than 150 context polls. A producer that kept walking the cut
+// assignments polled once per assignment, 6,497 times in all, and turned
+// this solve into ErrCanceled with Optimal = false.
+func TestDeadlineAfterTierCutKeepsOptimality(t *testing.T) {
+	ref, err := Solve(pipe8Problem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pipe8Problem(t)
+	p.Workers = 1
+	late := &countdownCtx{Context: context.Background(), flipAfter: 150}
+	s, err := SolveContext(late, p)
+	t.Logf("%d context polls", late.calls.Load())
+	if err != nil {
+		t.Fatalf("deadline after the tier cut interrupted a complete search: %v", err)
+	}
+	if !s.Optimal || s.Explored != 6433 || s.Makespan != ref.Makespan {
+		t.Errorf("optimal=%v explored=%d makespan=%d, want true, 6433, %d", s.Optimal, s.Explored, s.Makespan, ref.Makespan)
+	}
+}
+
+// wideFanProblem has w sources A_i that each feed their own consumer B_i
+// and one shared consumer C, which all feed the sink Z. Its one two-round
+// assignment is optimal, the first three-round assignment trips the tier
+// cut, and counting the rest of the enumeration, 3^w + 2^w − 3
+// assignments, passes through about 2^w distinct states.
+func wideFanProblem(t testing.TB, w int) *Problem {
+	t.Helper()
+	g := dag.New()
+	c := g.MustAddTask("c", "nc", 100)
+	z := g.MustAddTask("z", "nz", 100)
+	g.MustConnect(c, z, 4)
+	for i := 0; i < w; i++ {
+		a := g.MustAddTask(fmt.Sprintf("a%d", i), fmt.Sprintf("na%d", i), 100)
+		b := g.MustAddTask(fmt.Sprintf("b%d", i), fmt.Sprintf("nb%d", i), 100)
+		g.MustConnect(a, b, 4)
+		g.MustConnect(a, c, 4)
+		g.MustConnect(b, z, 4)
+	}
+	return &Problem{
+		App: g, Params: glossy.DefaultParams(), Diameter: 3,
+		Mode: WeaklyHard, WHStat: glossy.SyntheticWH{},
+		WHCons: map[dag.TaskID]wh.MissConstraint{},
+	}
+}
+
+// TestDeadlineDuringCountCancels: counting what the tier cut skipped can
+// take as long as walking it, so the count must heed the deadline too. On
+// a 24-wide fan the count would pass through ~2^24 states; the solve must
+// return soon after its 300 ms deadline with ErrCanceled, and any
+// incumbent it returns is not optimal. At Workers = 1 the walk stops at
+// its second assignment, so Explored is at most 2: the walked count,
+// since the count never finished.
+func TestDeadlineDuringCountCancels(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := wideFanProblem(t, 24)
+		p.Workers = workers
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		start := time.Now()
+		s, err := SolveContext(ctx, p)
+		el := time.Since(start)
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers=%d: err %v, want ErrCanceled", workers, err)
+		}
+		if el > 3*time.Second {
+			t.Errorf("workers=%d: returned %v after a 300ms deadline", workers, el)
+		}
+		if s == nil {
+			continue // the deadline struck before the first schedule
+		}
+		t.Logf("workers=%d: returned after %v, explored %d", workers, el, s.Explored)
+		if s.Optimal {
+			t.Errorf("workers=%d: a canceled solve claims optimality", workers)
+		}
+		if workers == 1 && s.Explored > 2 {
+			t.Errorf("workers=1: explored %d, want at most 2", s.Explored)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -127,12 +128,17 @@ type search struct {
 	// beaconDur and beaconCharge are the beacon's duration and charge
 	// columns, indexed by χ−1: the per-round terms of the lower bounds.
 	beaconDur, beaconCharge []int64
+	// beaconFloor (β) is the smallest χ floor of any message, MinNTX for
+	// a message-free graph: the floor tierCut prices every beacon at.
+	beaconFloor int
 	// inc is the best outcome published so far, read by every prune
 	// point; nil until the first schedule is found.
 	inc atomic.Pointer[incumbentRec]
-	// explored counts the enumerated assignments, cut those of them the
-	// tier cut skipped. Only the producer writes them.
-	explored, cut int
+	// walked counts the assignments the walk emitted, the one that
+	// tripped the tier cut included. explored is walked, or the whole
+	// enumeration's size once the cut fires and the count of the rest
+	// completes. Only the producer writes them.
+	walked, explored int
 }
 
 // candidate is a schedule paired with its position in the deterministic
@@ -174,6 +180,10 @@ func newSearch(ctx context.Context, p *Problem, lg *dag.LineGraph, maxRounds int
 	}
 	s.beaconDur = p.costByWidth[p.Params.BeaconWidth]
 	s.beaconCharge = p.chargeByWidth[p.Params.BeaconWidth]
+	s.beaconFloor = p.MinNTX
+	if len(s.chiFloor) > 0 {
+		s.beaconFloor = slices.Min(s.chiFloor)
+	}
 	return s
 }
 
@@ -238,17 +248,20 @@ func (s *search) assignBound(assign []int, idx int, inc *incumbentRec) (prune bo
 
 // tierCut reports whether assignBound would prune the cheapest possible
 // member of the tier of assignments using `rounds` rounds, at enumeration
-// index idx: every message at its χ floor and every beacon at MinNTX. Its
-// bounds are at most lowerBounds of every assignment in the tier, and
-// they grow with rounds, so when it is pruned, so is everything left in
-// the tier and in every later tier.
+// index idx: every message at its χ floor and every beacon at β, the
+// lowest message floor. Every round of the tier carries a message, and
+// lowerBounds prices its beacon at the strongest floor among them, so no
+// beacon costs less than β. The tier's bounds are thus at most
+// lowerBounds of every assignment in the tier, and they grow with
+// rounds, so when it is pruned, so is everything left in the tier and in
+// every later tier.
 func (s *search) tierCut(rounds, idx int, inc *incumbentRec) bool {
 	if inc == nil && s.p.MakespanCap <= 0 {
 		return false
 	}
 	r := int64(rounds)
-	mlb := s.cpWCET + s.slotFloor + r*s.beaconDur[s.p.MinNTX-1]
-	elb := s.chargeFloor + s.cpWCET*s.p.EnergyParams.SleepCurrentUA + r*s.beaconCharge[s.p.MinNTX-1]
+	mlb := s.cpWCET + s.slotFloor + r*s.beaconDur[s.beaconFloor-1]
+	elb := s.chargeFloor + s.cpWCET*s.p.EnergyParams.SleepCurrentUA + r*s.beaconCharge[s.beaconFloor-1]
 	prune, _ := s.boundPrune(mlb, elb, idx, inc)
 	return prune
 }

@@ -10,13 +10,14 @@ import (
 // This file is the outer search over round assignments, one driver for
 // every worker count. The calling goroutine is the producer: it walks the
 // enumeration in its canonical deterministic order, numbers each
-// assignment (its enumeration index) and counts it in Explored, and skips
-// what cannot win before copying anything:
+// assignment (its enumeration index), and skips what cannot win before
+// copying anything:
 //
 //   - the tier cut: assignments come in tiers of ascending round count,
 //     and once the cheapest possible member of a tier cannot beat the
 //     incumbent, nothing in that tier or a later one can (see tierCut),
-//     so the rest of the enumeration is only counted;
+//     so the walk stops there and the rest of the enumeration is only
+//     counted (dag.LineGraph.CountAssignments), not walked;
 //   - the per-assignment admissibility bound (assignBound).
 //
 // With Workers = 1 the producer evaluates each survivor inline. Otherwise
@@ -34,11 +35,16 @@ import (
 // search's result. Cut assignments still count in Explored, so it is the
 // full enumeration size whenever the search completes, and no barrier at
 // tier boundaries is needed: when the producer sees the incumbent changes
-// only how much work the search does. The per-assignment timing result is
-// also incumbent-independent: a bounded search that completes is exact
-// within the bound (hence equal to the unbounded optimum whenever one
-// exists under the bound), and a bounded search the node budget truncates
-// is redone without the incumbent-derived bound (see place).
+// only how much work the search does. Once the cut fires the walk stops,
+// and the count of the rest polls the context only once per 1,024 steps:
+// a deadline after the cut interrupts only a count that runs long, on
+// graphs with many unordered messages. Explored then stays the walked
+// count, and the schedule is not claimed optimal. The per-assignment
+// timing result is also incumbent-independent: a bounded search that
+// completes is exact within the bound (hence equal to the unbounded
+// optimum whenever one exists under the bound), and a bounded search the
+// node budget truncates is redone without the incumbent-derived bound
+// (see place).
 
 // assignmentBatchSize is how many assignments the producer hands over
 // per channel send. Assignments are cheap to enumerate and expensive to
@@ -74,7 +80,7 @@ type searchOut struct {
 // run evaluates the round assignments on `workers` consumers and reduces
 // their local bests under the objective's total order. It returns the
 // winner and the first error in enumeration order, and leaves the
-// explored and cut counts in s.
+// walked and explored counts in s.
 func (s *search) run(workers int) (*candidate, *searchErr) {
 	outs := make([]searchOut, max(workers, 1))
 	var jobs chan []job
@@ -117,13 +123,12 @@ func (s *search) run(workers int) (*candidate, *searchErr) {
 			s.interrupted.Store(true)
 			return false // canceled: stop enumerating, keep the incumbent
 		}
-		idx := s.explored
-		s.explored++
+		idx := s.walked
+		s.walked++
 		inc := s.inc.Load()
-		cut = cut || s.tierCut(roundCount(l), idx, inc)
-		if cut {
-			s.cut++
-			return true
+		if s.tierCut(roundCount(l), idx, inc) {
+			cut = true
+			return false // the rest of the enumeration loses: count it, don't walk it
 		}
 		prune, bound := s.assignBound(l, idx, inc)
 		if prune {
@@ -151,8 +156,16 @@ func (s *search) run(workers int) (*candidate, *searchErr) {
 			send(batch)
 		}
 		close(jobs)
-		wg.Wait()
 	}
+	s.explored = s.walked
+	if cut { // count while the workers drain
+		if n, err := s.lg.CountAssignments(s.ctx, s.maxRounds); err != nil {
+			s.interrupted.Store(true) // Explored stays the walked count
+		} else {
+			s.explored = n
+		}
+	}
+	wg.Wait()
 
 	var best *candidate
 	var firstErr *searchErr

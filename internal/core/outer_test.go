@@ -54,28 +54,42 @@ func pipe8Problem(tb testing.TB) *Problem {
 
 // TestTierCutWorkCount gates the tier cut on exact work: on pipe8 at
 // Workers = 1, the two-round tier's 64 assignments reach assignBound,
-// its optimum makes the cheapest three-round member lose, and the
-// 6,369 three-round assignments are cut without a bound evaluation.
-// Explored still counts all 6,433.
+// its optimum makes the cheapest three-round member lose, and the walk
+// stops at that member, the 65th assignment it emits. The 6,369
+// three-round assignments are counted, not walked, and Explored is all
+// 6,433. At diameter 2 every message floor is 2 and MinNTX is 1, so the
+// cut fires only because it prices the beacons at the lowest message
+// floor.
 func TestTierCutWorkCount(t *testing.T) {
-	p := pipe8Problem(t)
-	_, s := ablationSearch(t, p)
-	best, firstErr := s.run(1)
-	if best == nil {
-		t.Fatalf("no schedule: %+v", firstErr)
-	}
-	if s.explored != 6433 || s.cut != 6369 || s.explored-s.cut != 64 {
-		t.Errorf("explored %d, cut %d, bounded %d; want 6433, 6369, 64", s.explored, s.cut, s.explored-s.cut)
-	}
-	if got := len(best.sched.Rounds); got != 2 {
-		t.Errorf("optimum uses %d rounds, want 2", got)
-	}
-	sched, err := Solve(pipe8Problem(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Explored != 6433 || sched.Makespan != best.sched.Makespan {
-		t.Errorf("Solve: explored %d makespan %d, want 6433 and %d", sched.Explored, sched.Makespan, best.sched.Makespan)
+	for _, tc := range []struct {
+		diameter int
+		makespan int64
+	}{{3, 84705}, {2, 76385}} {
+		p := pipe8Problem(t)
+		p.Diameter = tc.diameter
+		_, s := ablationSearch(t, p)
+		best, firstErr := s.run(1)
+		if best == nil {
+			t.Fatalf("diameter %d: no schedule: %+v", tc.diameter, firstErr)
+		}
+		bounded := s.walked - 1
+		if s.walked != 65 || s.explored != 6433 || s.explored-bounded != 6369 {
+			t.Errorf("diameter %d: walked %d, explored %d, cut %d, bounded %d; want 65, 6433, 6369, 64",
+				tc.diameter, s.walked, s.explored, s.explored-bounded, bounded)
+		}
+		if got := len(best.sched.Rounds); got != 2 {
+			t.Errorf("diameter %d: optimum uses %d rounds, want 2", tc.diameter, got)
+		}
+		p = pipe8Problem(t)
+		p.Diameter = tc.diameter
+		sched, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched.Explored != 6433 || sched.Makespan != tc.makespan || best.sched.Makespan != tc.makespan {
+			t.Errorf("diameter %d: Solve explored %d makespan %d, search makespan %d; want 6433 and %d",
+				tc.diameter, sched.Explored, sched.Makespan, best.sched.Makespan, tc.makespan)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package dag
 
-import "fmt"
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+)
 
 // LineGraph is L(G_A) restricted to E*: its vertices are the
 // unique-source messages and there is an edge m1 -> m2 whenever some
@@ -153,18 +157,7 @@ func (lg *LineGraph) enumerate(maxRounds int, fn func(l []int) bool) (steps int)
 	if maxRounds < lg.MinRounds() {
 		return 0
 	}
-	// Assign messages in an order compatible with line-graph precedence
-	// (by depth, then ID) so each message's predecessors are already
-	// placed when it is considered.
-	order := make([]MsgID, lg.n)
-	for i := range order {
-		order[i] = MsgID(i)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && lg.less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	order := lg.order()
 	l := make([]int, lg.n)
 	counts := make([]int, maxRounds) // messages per round, for surjectivity
 	stopped := false
@@ -210,11 +203,134 @@ func (lg *LineGraph) enumerate(maxRounds int, fn func(l []int) bool) (steps int)
 	return steps
 }
 
+// order returns the messages in the order the enumerator places them,
+// by depth, then ID: compatible with line-graph precedence, so each
+// message's predecessors are already placed when it is considered.
+func (lg *LineGraph) order() []MsgID {
+	order := make([]MsgID, lg.n)
+	for i := range order {
+		order[i] = MsgID(i)
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && lg.less(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order
+}
+
 func (lg *LineGraph) less(a, b MsgID) bool {
 	if lg.depth[a] != lg.depth[b] {
 		return lg.depth[a] < lg.depth[b]
 	}
 	return a < b
+}
+
+// CountAssignments returns how many assignments
+// EnumerateAssignments(maxRounds, ·) emits, without visiting each one: 1
+// for a message-free graph at any budget, 0 below MinRounds. On graphs
+// with many unordered messages a count can take as long as the walk, so
+// it polls ctx and returns ctx.Err() once the context expires.
+func (lg *LineGraph) CountAssignments(ctx context.Context, maxRounds int) (int, error) {
+	n, _, err := lg.count(ctx, maxRounds, maxCountMemo)
+	return n, err
+}
+
+const (
+	// countPoll is how many recursive steps count takes between polls of
+	// its context.
+	countPoll = 1024
+	// maxCountMemo caps CountAssignments' memo, so its memory stays
+	// bounded on graphs with exponentially many states. Past the cap the
+	// count is still exact, only slower: at worst it walks like enumerate.
+	maxCountMemo = 1 << 16
+)
+
+// count is CountAssignments with a memo of at most memoCap entries. It
+// also returns the number of recursive steps it took, the work count its
+// tests gate.
+//
+// It walks the tiers and places the messages as enumerate does, but
+// memoizes how many ways the messages from position idx on can complete
+// the tier. That number depends only on which of the tier's rounds are
+// still empty and on the lowest round each unplaced message can take
+// given the placed ones, so those make the memo key. A prefix whose empty
+// rounds the unplaced messages cannot fill, one message per round, ends
+// the branch at once. Every memoized value counts the completions of a
+// prefix the walk reached, so no partial sum exceeds the total.
+func (lg *LineGraph) count(ctx context.Context, maxRounds, memoCap int) (total, steps int, err error) {
+	if lg.n == 0 {
+		return 1, 1, nil
+	}
+	order := lg.order()
+	// l holds the rounds of the placed messages and, past the walk's
+	// position, the lowest rounds of the unplaced ones.
+	l := make([]int, lg.n)
+	hi := min(maxRounds, lg.n) // a tier with more rounds than messages is empty
+	counts := make([]int, max(hi, 0))
+	reach := make([]int, max(hi, 0)) // unplaced messages by lowest round
+	memo := make(map[string]int)
+	var key []byte
+	for rounds := lg.MinRounds(); rounds <= hi && err == nil; rounds++ {
+		clear(memo)
+		var rec func(idx int) int
+		rec = func(idx int) int {
+			steps++
+			if steps%countPoll == 0 && err == nil {
+				err = ctx.Err()
+			}
+			if err != nil {
+				return 0
+			}
+			key = binary.AppendUvarint(key[:0], uint64(idx))
+			clear(reach[:rounds])
+			for _, u := range order[idx:] { // each after its predecessors
+				lo := 0
+				for _, p := range lg.pred[u] {
+					lo = max(lo, l[p]+1)
+				}
+				l[u] = lo
+				reach[lo]++
+				key = binary.AppendUvarint(key, uint64(lo))
+			}
+			// free counts the unplaced messages that can reach round r,
+			// less the empty rounds up to r.
+			free := 0
+			for r, c := range counts[:rounds] {
+				free += reach[r]
+				if c == 0 {
+					if free--; free < 0 {
+						return 0
+					}
+				}
+				key = append(key, byte(min(c, 1)))
+			}
+			if idx == len(order) {
+				return 1
+			}
+			if n, ok := memo[string(key)]; ok {
+				return n
+			}
+			k := string(key)
+			m := order[idx]
+			n := 0
+			for r := l[m]; r < rounds-lg.height[m]; r++ {
+				l[m] = r
+				counts[r]++
+				n += rec(idx + 1)
+				counts[r]--
+			}
+			if len(memo) < memoCap {
+				memo[k] = n
+			}
+			return n
+		}
+		total += rec(0)
+	}
+	if err != nil {
+		return 0, steps, err
+	}
+	return total, steps, nil
 }
 
 // EarliestAssignment returns the canonical ASAP assignment l[m] =

@@ -1,6 +1,9 @@
 package dag
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -357,5 +360,202 @@ func TestEnumerateMatchesUncutWalk(t *testing.T) {
 	t.Logf("%d assignments", total)
 	if total < 1000 {
 		t.Fatalf("degenerate shapes: %d assignments over all trials", total)
+	}
+}
+
+// denseDAG builds a random application of 3–12 tasks whose task pairs
+// are each joined with one probability, drawn from 0.1–0.5 per graph.
+func denseDAG(rng *rand.Rand) *Graph {
+	g := New()
+	n, p := 3+rng.Intn(10), 0.1+0.4*rng.Float64()
+	for i := 0; i < n; i++ {
+		g.MustAddTask(taskName(i), nodeName(i), 10)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				g.MustConnect(TaskID(i), TaskID(j), 4)
+			}
+		}
+	}
+	return g
+}
+
+// chainsDAG builds independent chains of the given message counts.
+func chainsDAG(msgs ...int) *Graph {
+	g := New()
+	i := 0
+	for _, n := range msgs {
+		for k := 0; k <= n; k++ {
+			id := g.MustAddTask(taskName(i), nodeName(i), 10)
+			i++
+			if k > 0 {
+				g.MustConnect(id-1, id, 4)
+			}
+		}
+	}
+	return g
+}
+
+// diamondChain builds a chain of h messages c_0..c_{h-1} plus d messages
+// x_i, each between c_{2i} and c_{2i+2} and unordered with c_{2i+1}
+// alone (h > 2d). A canonical assignment puts each x_i in c_{2i+1}'s
+// round, or in its own round before or after it, and nothing else is
+// free, so there are 3^d of them.
+func diamondChain(h, d int) *Graph {
+	g := chainsDAG(h)
+	for i := 0; i < d; i++ {
+		x := g.MustAddTask("x"+taskName(i), "x"+nodeName(i), 10)
+		g.MustConnect(TaskID(2*i), x, 4)   // x_i consumes c_{2i}
+		g.MustConnect(x, TaskID(2*i+2), 4) // and feeds c_{2i+2}'s source
+	}
+	return g
+}
+
+func mustLineGraph(t *testing.T, g *Graph) *LineGraph {
+	t.Helper()
+	lg, err := NewLineGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lg
+}
+
+// walkLen returns how many assignments the walk emits.
+func walkLen(lg *LineGraph, maxRounds int) int {
+	n := 0
+	lg.EnumerateAssignments(maxRounds, func([]int) bool { n++; return true })
+	return n
+}
+
+// wideFan builds w sources A_i that each feed their own consumer B_i and
+// one shared consumer C, which all feed a sink Z. Its line graph is one
+// component: a_i -> b_i and a_i -> c. At three rounds it has
+// 3^w + 2^w − 2 assignments, and the states of a count grow as 2^w.
+func wideFan(w int) *Graph {
+	g := New()
+	c := g.MustAddTask("c", "nc", 10)
+	z := g.MustAddTask("z", "nz", 10)
+	g.MustConnect(c, z, 4)
+	for i := 0; i < w; i++ {
+		a := g.MustAddTask("a"+taskName(i), "na"+nodeName(i), 10)
+		b := g.MustAddTask("b"+taskName(i), "nb"+nodeName(i), 10)
+		g.MustConnect(a, b, 4)
+		g.MustConnect(a, c, 4)
+		g.MustConnect(b, z, 4)
+	}
+	return g
+}
+
+// TestCountAssignmentsMatchesWalk: CountAssignments returns the walk's
+// length on the chain, fan-in and fan-out shapes of
+// TestEnumerateMatchesUncutWalk and on dense random DAGs at every budget
+// up to four above the minimum, also with a memo capped at a few entries;
+// on a message-free graph at every budget; and at budgets above the
+// message count and above 64 rounds. It stays exact on graphs whose
+// enumeration no walk could finish.
+func TestCountAssignmentsMatchesWalk(t *testing.T) {
+	ctx := context.Background()
+	check := func(label string, lg *LineGraph, maxRounds int) int {
+		t.Helper()
+		want := walkLen(lg, maxRounds)
+		if got, err := lg.CountAssignments(ctx, maxRounds); got != want || err != nil {
+			t.Fatalf("%s at %d rounds: count %d (%v), walk %d", label, maxRounds, got, err, want)
+		}
+		if got, _, _ := lg.count(ctx, maxRounds, 3); got != want {
+			t.Fatalf("%s at %d rounds: count with a 3-entry memo %d, walk %d", label, maxRounds, got, want)
+		}
+		return want
+	}
+	rng := rand.New(rand.NewSource(29))
+	total := 0
+	for trial := 0; trial < 1700; trial++ {
+		g := denseDAG(rng)
+		if trial < 200 {
+			g = shapedDAG(rng)
+		}
+		lg := mustLineGraph(t, g)
+		for maxRounds := 0; maxRounds <= lg.MinRounds()+4; maxRounds++ {
+			total += check(fmt.Sprintf("trial %d", trial), lg, maxRounds)
+		}
+	}
+	t.Logf("%d assignments", total)
+	if total < 100000 {
+		t.Fatalf("degenerate graphs: %d assignments over all trials", total)
+	}
+
+	g := New()
+	g.MustAddTask("only", "n0", 10)
+	empty := mustLineGraph(t, g)
+	for maxRounds := 0; maxRounds <= 70; maxRounds++ {
+		if check("message-free", empty, maxRounds) != 1 {
+			t.Fatalf("message-free graph at %d rounds: walk emits %d, want 1", maxRounds, walkLen(empty, maxRounds))
+		}
+	}
+
+	for _, tc := range []struct {
+		chains    []int
+		maxRounds int
+		want      int
+	}{
+		{[]int{34, 1}, 67, 69},
+		{[]int{5, 1, 1, 1}, 85, 1763},
+		{[]int{66}, 68, 1},
+	} {
+		label := fmt.Sprintf("chains %v", tc.chains)
+		if got := check(label, mustLineGraph(t, chainsDAG(tc.chains...)), tc.maxRounds); got != tc.want {
+			t.Errorf("%s at %d rounds: %d assignments, want %d", label, tc.maxRounds, got, tc.want)
+		}
+	}
+
+	// Past the walk's reach: diamond chains have 3^d assignments and wide
+	// fans 3^w + 2^w − 2 at three rounds, which the walk confirms on the
+	// small ones. A 54-message chain with 20 diamonds is counted over
+	// tiers of 54 to 74 rounds.
+	pow3 := func(d int) int {
+		n := 1
+		for i := 0; i < d; i++ {
+			n *= 3
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		label     string
+		g         *Graph
+		maxRounds int
+		want      int
+		walk      bool
+	}{
+		{"diamond chain h=1 d=0", diamondChain(1, 0), 1, 1, true},
+		{"diamond chain h=3 d=1", diamondChain(3, 1), 4, 3, true},
+		{"diamond chain h=7 d=3", diamondChain(7, 3), 10, 27, true},
+		{"diamond chain h=13 d=6", diamondChain(13, 6), 19, pow3(6), true},
+		{"diamond chain h=54 d=20", diamondChain(54, 20), 74, pow3(20), false},
+		{"wide fan w=1", wideFan(1), 3, 3, true},
+		{"wide fan w=6", wideFan(6), 3, pow3(6) + 1<<6 - 2, true},
+		{"wide fan w=12", wideFan(12), 3, pow3(12) + 1<<12 - 2, false},
+	} {
+		lg := mustLineGraph(t, tc.g)
+		if tc.walk && check(tc.label, lg, tc.maxRounds) != tc.want {
+			t.Fatalf("%s: walk emits %d, want %d", tc.label, walkLen(lg, tc.maxRounds), tc.want)
+		}
+		if got, err := lg.CountAssignments(ctx, tc.maxRounds); got != tc.want || err != nil {
+			t.Errorf("%s: count %d (%v), want %d", tc.label, got, err, tc.want)
+		}
+	}
+}
+
+// TestCountAssignmentsCancels: a count whose states grow as 2^w stops
+// within one poll of an expired context, and returns its error.
+func TestCountAssignmentsCancels(t *testing.T) {
+	lg := mustLineGraph(t, wideFan(40))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n, steps, err := lg.count(ctx, lg.MinRounds()+1, maxCountMemo)
+	if !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("count under a canceled context: %d, %v; want 0, context.Canceled", n, err)
+	}
+	if steps > 2*countPoll {
+		t.Errorf("count took %d steps after its context expired, want at most %d", steps, 2*countPoll)
 	}
 }

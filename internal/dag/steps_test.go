@@ -1,6 +1,7 @@
 package dag_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -73,17 +74,19 @@ func pipe8Graph(t *testing.T) *dag.Graph {
 // TestEnumerateStepsGate gates the enumerator's work on the benchmark's
 // two anchors as a step count, never a timing. Without the height cap the
 // walk took 4,684,756 steps to emit av-heavy's 2,500 assignments and
-// 23,666 for pipe8's 6,433.
+// 23,666 for pipe8's 6,433. CountAssignments must return the same sizes,
+// and it takes 333 and 240 steps.
 func TestEnumerateStepsGate(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		g           *dag.Graph
-		maxRounds   int
-		assignments int
-		maxSteps    int
+		name          string
+		g             *dag.Graph
+		maxRounds     int
+		assignments   int
+		maxSteps      int
+		maxCountSteps int
 	}{
-		{"av-heavy", avHeavyGraph(t), 5, 2500, 14000},
-		{"pipe8", pipe8Graph(t), 3, 6433, 16000},
+		{"av-heavy", avHeavyGraph(t), 5, 2500, 14000, 400},
+		{"pipe8", pipe8Graph(t), 3, 6433, 16000, 300},
 	} {
 		lg, err := dag.NewLineGraph(tc.g)
 		if err != nil {
@@ -92,12 +95,20 @@ func TestEnumerateStepsGate(t *testing.T) {
 		n := 0
 		lg.EnumerateAssignments(tc.maxRounds, func([]int) bool { n++; return true })
 		steps := lg.EnumerateSteps(tc.maxRounds)
-		t.Logf("%s: %d assignments in %d steps", tc.name, n, steps)
-		if n != tc.assignments {
-			t.Errorf("%s: %d assignments, want %d", tc.name, n, tc.assignments)
+		counted, err := lg.CountAssignments(context.Background(), tc.maxRounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		countSteps := lg.CountSteps(tc.maxRounds)
+		t.Logf("%s: %d assignments in %d steps, counted in %d", tc.name, n, steps, countSteps)
+		if n != tc.assignments || counted != tc.assignments {
+			t.Errorf("%s: walk emits %d assignments, count %d; want %d", tc.name, n, counted, tc.assignments)
 		}
 		if steps > tc.maxSteps {
 			t.Errorf("%s: %d enumeration steps, want at most %d", tc.name, steps, tc.maxSteps)
+		}
+		if countSteps > tc.maxCountSteps {
+			t.Errorf("%s: %d counting steps, want at most %d", tc.name, countSteps, tc.maxCountSteps)
 		}
 	}
 }
